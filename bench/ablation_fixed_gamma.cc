@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/weather_generator.h"
 
@@ -35,6 +35,18 @@ int main(int argc, char** argv) {
     PrintRow({name, FmtMeanStd(f), FmtMeanStd(l), Fmt(l.mean - f.mean)});
   };
 
+  // NMI of the fit with gamma fixed at 1, then of the one that learns it.
+  auto fixed_vs_learned = [](const Dataset& dataset, FitOptions options) {
+    auto nmi = [&](bool learn_strengths) {
+      options.config.learn_strengths = learn_strengths;
+      auto fit = Engine::Fit(dataset, options);
+      return fit.ok() ? OverallNmi(fit->model.HardLabels(), dataset.labels)
+                      : 0.0;
+    };
+    const double fixed = nmi(false);
+    return std::pair<double, double>(fixed, nmi(true));
+  };
+
   // ACP network.
   DblpConfig dconfig;
   dconfig.num_authors = 1000;
@@ -45,23 +57,16 @@ int main(int argc, char** argv) {
   auto acp = BuildAcpNetwork(*corpus, dconfig);
   if (!acp.ok()) return 1;
   summarize("DBLP ACP (NMI)", [&](uint64_t seed) {
-    GenClusConfig config;
+    FitOptions options;
+    options.attributes = {"text"};
+    GenClusConfig& config = options.config;
     config.num_clusters = 4;
     config.outer_iterations = 10;
     config.em_iterations = 40;
     config.num_init_seeds = 3;
     config.init_em_steps = 3;
     config.seed = seed;
-    config.learn_strengths = false;
-    auto fixed = RunGenClus(acp->dataset, {"text"}, config);
-    config.learn_strengths = true;
-    auto learned = RunGenClus(acp->dataset, {"text"}, config);
-    return std::pair<double, double>(
-        fixed.ok() ? OverallNmi(fixed->HardLabels(), acp->dataset.labels)
-                   : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), acp->dataset.labels)
-            : 0.0);
+    return fixed_vs_learned(acp->dataset, options);
   });
 
   // ACP network with sparse titles: when the attribute signal is weak,
@@ -77,24 +82,16 @@ int main(int argc, char** argv) {
   auto sparse_acp = BuildAcpNetwork(*sparse_corpus, sparse_config);
   if (!sparse_acp.ok()) return 1;
   summarize("DBLP ACP sparse text", [&](uint64_t seed) {
-    GenClusConfig config;
+    FitOptions options;
+    options.attributes = {"text"};
+    GenClusConfig& config = options.config;
     config.num_clusters = 4;
     config.outer_iterations = 10;
     config.em_iterations = 40;
     config.num_init_seeds = 3;
     config.init_em_steps = 3;
     config.seed = seed;
-    config.learn_strengths = false;
-    auto fixed = RunGenClus(sparse_acp->dataset, {"text"}, config);
-    config.learn_strengths = true;
-    auto learned = RunGenClus(sparse_acp->dataset, {"text"}, config);
-    return std::pair<double, double>(
-        fixed.ok()
-            ? OverallNmi(fixed->HardLabels(), sparse_acp->dataset.labels)
-            : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), sparse_acp->dataset.labels)
-            : 0.0);
+    return fixed_vs_learned(sparse_acp->dataset, options);
   });
 
   // Weather network, Setting 1.
@@ -105,26 +102,16 @@ int main(int argc, char** argv) {
   auto weather = GenerateWeatherNetwork(wconfig);
   if (!weather.ok()) return 1;
   summarize("Weather S1 (NMI)", [&](uint64_t seed) {
-    GenClusConfig config;
+    FitOptions options;
+    options.attributes = {"temperature", "precipitation"};
+    GenClusConfig& config = options.config;
     config.num_clusters = 4;
     config.outer_iterations = 5;
     config.em_iterations = 40;
     config.num_init_seeds = 5;
     config.init_em_steps = 5;
     config.seed = seed;
-    config.learn_strengths = false;
-    auto fixed = RunGenClus(weather->dataset,
-                            {"temperature", "precipitation"}, config);
-    config.learn_strengths = true;
-    auto learned = RunGenClus(weather->dataset,
-                              {"temperature", "precipitation"}, config);
-    return std::pair<double, double>(
-        fixed.ok()
-            ? OverallNmi(fixed->HardLabels(), weather->dataset.labels)
-            : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), weather->dataset.labels)
-            : 0.0);
+    return fixed_vs_learned(weather->dataset, options);
   });
   return 0;
 }

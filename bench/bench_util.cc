@@ -4,13 +4,8 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "prob/simplex.h"
 
 namespace genclus::bench {
-
-std::vector<uint32_t> HardLabels(const Matrix& theta) {
-  return RowArgMax(theta);
-}
 
 double SubsetNmi(const std::vector<uint32_t>& pred, const Labels& truth,
                  const std::vector<NodeId>& subset) {

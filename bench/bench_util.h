@@ -9,15 +9,11 @@
 #include <vector>
 
 #include "baselines/topic_models.h"
-#include "core/genclus.h"
 #include "eval/nmi.h"
 #include "hin/dataset.h"
 #include "linalg/matrix.h"
 
 namespace genclus::bench {
-
-/// Hard labels from a soft membership matrix.
-std::vector<uint32_t> HardLabels(const Matrix& theta);
 
 /// NMI restricted to one node subset: other positions are masked to
 /// kUnlabeled on both sides.

@@ -54,7 +54,7 @@ void RunDblpAccuracyBench(
     }
 
     const std::vector<std::vector<uint32_t>> preds = {
-        HardLabels(np->theta), HardLabels(it->theta),
+        RowArgMax(np->theta), RowArgMax(it->theta),
         gen->model.HardLabels()};
     for (size_t m = 0; m < methods.size(); ++m) {
       for (size_t g = 0; g < num_groups; ++g) {

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     explicit RowPrinter(const AcNetworkData* ac) : ac_(ac) {}
     void OnOuterIteration(const OuterIterationRecord& record,
                           const Matrix& theta) override {
-      const auto pred = HardLabels(theta);
+      const auto pred = RowArgMax(theta);
       PrintRow(
           {StrFormat("%zu", record.iteration),
            Fmt(SubsetNmi(pred, ac_->dataset.labels, ac_->conference_nodes)),

@@ -14,7 +14,7 @@
 #include "baselines/topic_models.h"
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "eval/link_prediction.h"
 
@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   gconfig.num_init_seeds = 5;
   gconfig.init_em_steps = 3;
   gconfig.seed = seed;
-  auto gen = RunGenClus(dataset, {"text"}, gconfig);
+  auto gen =
+      Engine::Fit(dataset, {.attributes = {"text"}, .config = gconfig});
   if (!np.ok() || !it.ok() || !gen.ok()) {
     std::fprintf(stderr, "a method failed\n");
     return 1;
@@ -68,8 +69,8 @@ int main(int argc, char** argv) {
                                          ac->publish_in, kinds[i]);
     auto map_it = EvaluateLinkPrediction(dataset.network, it->theta,
                                          ac->publish_in, kinds[i]);
-    auto map_gen = EvaluateLinkPrediction(dataset.network, gen->theta,
-                                          ac->publish_in, kinds[i]);
+    auto map_gen = EvaluateLinkPrediction(
+        dataset.network, gen->model.theta, ac->publish_in, kinds[i]);
     PrintRow({SimilarityKindName(kinds[i]),
               Fmt(map_np.ok() ? map_np->map : NAN),
               Fmt(map_it.ok() ? map_it->map : NAN),

@@ -11,7 +11,7 @@
 #include "baselines/topic_models.h"
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "eval/link_prediction.h"
 
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   gconfig.num_init_seeds = 5;
   gconfig.init_em_steps = 3;
   gconfig.seed = seed;
-  auto gen = RunGenClus(dataset, {"text"}, gconfig);
+  auto gen =
+      Engine::Fit(dataset, {.attributes = {"text"}, .config = gconfig});
   if (!np.ok() || !it.ok() || !gen.ok()) {
     std::fprintf(stderr, "a method failed\n");
     return 1;
@@ -65,8 +66,8 @@ int main(int argc, char** argv) {
                                          acp->published_by, kinds[i]);
     auto map_it = EvaluateLinkPrediction(dataset.network, it->theta,
                                          acp->published_by, kinds[i]);
-    auto map_gen = EvaluateLinkPrediction(dataset.network, gen->theta,
-                                          acp->published_by, kinds[i]);
+    auto map_gen = EvaluateLinkPrediction(
+        dataset.network, gen->model.theta, acp->published_by, kinds[i]);
     PrintRow({SimilarityKindName(kinds[i]),
               Fmt(map_np.ok() ? map_np->map : NAN),
               Fmt(map_it.ok() ? map_it->map : NAN),

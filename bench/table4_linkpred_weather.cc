@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/weather_generator.h"
 #include "eval/link_prediction.h"
 
@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
   config.num_init_seeds = 5;
   config.init_em_steps = 5;
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
-  auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                        config);
+  auto gen = Engine::Fit(
+      data->dataset,
+      {.attributes = {"temperature", "precipitation"}, .config = config});
   if (!gen.ok()) {
     std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
     return 1;
@@ -51,8 +52,9 @@ int main(int argc, char** argv) {
                                   SimilarityKind::kNegativeEuclidean,
                                   SimilarityKind::kNegativeCrossEntropy};
   for (int i = 0; i < 3; ++i) {
-    auto map = EvaluateLinkPrediction(data->dataset.network, gen->theta,
-                                      data->tp_link, kinds[i]);
+    auto map = EvaluateLinkPrediction(data->dataset.network,
+                                      gen->model.theta, data->tp_link,
+                                      kinds[i]);
     PrintRow({SimilarityKindName(kinds[i]),
               Fmt(map.ok() ? map->map : NAN), Fmt(paper[i])});
   }

@@ -13,7 +13,7 @@
 #include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/string_util.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/weather_generator.h"
 
 int main(int argc, char** argv) {
@@ -44,14 +44,16 @@ int main(int argc, char** argv) {
     config.num_init_seeds = 5;
     config.init_em_steps = 5;
     config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
-    auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                          config);
+    auto gen = Engine::Fit(
+        data->dataset,
+        {.attributes = {"temperature", "precipitation"}, .config = config});
     if (!gen.ok()) return 1;
 
     PrintRow({StrFormat("T:1000; P:%zu", sizes[row]),
-              Fmt(gen->gamma[data->tt_link]), Fmt(gen->gamma[data->tp_link]),
-              Fmt(gen->gamma[data->pt_link]),
-              Fmt(gen->gamma[data->pp_link])});
+              Fmt(gen->model.gamma[data->tt_link]),
+              Fmt(gen->model.gamma[data->tp_link]),
+              Fmt(gen->model.gamma[data->pt_link]),
+              Fmt(gen->model.gamma[data->pp_link])});
     PrintRow({"  (paper)", Fmt(paper[row][0]), Fmt(paper[row][1]),
               Fmt(paper[row][2]), Fmt(paper[row][3])});
   }

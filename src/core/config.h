@@ -11,18 +11,6 @@
 
 namespace genclus {
 
-/// How Gaussian component means are initialized for numerical attributes.
-enum class NumericalInit {
-  /// Cluster k starts at the k-th quantile of every numerical attribute.
-  /// Aligns cluster identities across attributes carried by disjoint
-  /// object types, but cannot separate clusters whose marginal means
-  /// coincide (e.g. the paper's weather Setting 2).
-  kQuantile,
-  /// Cluster means drawn from random observed values (k-means++-flavored
-  /// diversity through the multi-seed initialization).
-  kRandomObservation,
-};
-
 /// How the initial membership matrix Theta'_0 is chosen. §4.3 leaves this
 /// open ("random assignments, or start with several random seeds ... and
 /// choose the one with the highest value of the objective function g1").
@@ -110,10 +98,6 @@ struct GenClusConfig {
   /// EM steps used to score each tentative seed.
   size_t init_em_steps = 3;
 
-  /// Initialization strategy for Gaussian components; random observations
-  /// by default, with the multi-seed objective selecting the best start.
-  NumericalInit numerical_init = NumericalInit::kRandomObservation;
-
   /// Theta initialization strategy (see ThetaInit).
   ThetaInit theta_init = ThetaInit::kRandomSeedsPlusKMeans;
 
@@ -149,7 +133,7 @@ struct GenClusConfig {
   /// and seed counts >= 1, tolerances finite and non-negative, floors and
   /// the gamma prior positive, and initial_gamma (when non-empty) sized
   /// for `num_link_types` with finite non-negative entries. Called at the
-  /// top of Engine::Fit and GenClus::Run; surfaced here so callers can
+  /// top of Engine::Fit and Engine::Refit; surfaced here so callers can
   /// reject a bad config before paying for data loading.
   Status Validate(size_t num_link_types) const;
 };

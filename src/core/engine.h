@@ -28,6 +28,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,12 +36,42 @@
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/genclus.h"
+#include "core/components.h"
+#include "core/config.h"
 #include "core/inference.h"
 #include "core/model.h"
 #include "hin/dataset.h"
+#include "linalg/matrix.h"
 
 namespace genclus {
+
+/// Snapshot of one outer iteration, for convergence traces (Fig. 10).
+struct OuterIterationRecord {
+  size_t iteration = 0;
+  std::vector<double> gamma;     // strengths after this iteration
+  double em_objective = 0.0;     // g1 after the EM step
+  double strength_objective = 0.0;  // g2' after the Newton step
+  size_t em_iterations = 0;
+  double em_seconds = 0.0;
+  double strength_seconds = 0.0;
+  /// Block sweeps skipped by convergence-aware skipping during this
+  /// iteration's EM phase, out of `em_block_sweeps` total (iterations x
+  /// reduction blocks). Both 0 when block_convergence_tol == 0.
+  size_t em_blocks_skipped = 0;
+  size_t em_block_sweeps = 0;
+};
+
+/// Observer notified after every outer iteration of a training run with
+/// the iteration record and the current memberships. Implementations must
+/// not retain the Matrix reference beyond the call. Pass via
+/// FitOptions::observer or RefitOptions::observer (core/update.h).
+class ProgressObserver {
+ public:
+  virtual ~ProgressObserver() = default;
+
+  virtual void OnOuterIteration(const OuterIterationRecord& record,
+                                const Matrix& theta) = 0;
+};
 
 /// Training-surface options: which attributes to cluster by, the algorithm
 /// configuration, and optional progress/cancellation hooks (not owned;
@@ -175,13 +206,25 @@ class Engine {
                                   std::vector<const Attribute*>* attrs,
                                   std::vector<ModelAttributeInfo>* info);
 
-  // Shared by Fit and Refit: packages a finished GenClus run into the
-  // Model + FitReport pair, stamping the resolved shard count and the
-  // schema's link-type names.
-  static FitResult AssembleFitResult(const Schema& schema, GenClusResult run,
-                                     std::vector<ModelAttributeInfo> info,
-                                     size_t theta_shards_request,
-                                     double total_seconds);
+  // Theta and components an outer loop starts from instead of the
+  // best-of-seeds initialization (the Refit path).
+  struct WarmStart {
+    Matrix theta;
+    std::vector<AttributeComponents> components;
+  };
+
+  // Algorithm 1, shared by Fit and Refit (defined in engine.cc): alternates
+  // cluster optimization (EM over Theta, beta with gamma fixed) and
+  // strength learning (Newton over gamma with Theta fixed) until the outer
+  // iteration budget or gamma convergence, and packages the result as a
+  // Model + FitReport stamped with the resolved shard count and the
+  // schema's link-type names. Starts from `warm` when given. `config` must
+  // already be validated; report.total_seconds is left to the caller.
+  static Result<FitResult> RunOuterLoop(
+      const Network& network, std::vector<const Attribute*> attrs,
+      std::vector<ModelAttributeInfo> info, const GenClusConfig& config,
+      std::optional<WarmStart> warm, ProgressObserver* observer,
+      const CancellationToken* cancellation);
 
   const Network* network_;
   // Heap-held so the planner/session pointers into the model survive

@@ -75,30 +75,21 @@ std::vector<AttributeComponents> InitialComponents(
       const double mean = count > 0.0 ? sum / count : 0.0;
       double var = count > 0.0 ? sum2 / count - mean * mean : 1.0;
       if (var < config.variance_floor) var = config.variance_floor;
+      // Sorted so the drawn centers do not depend on node order.
       std::sort(pool.begin(), pool.end());
       const double stddev = std::sqrt(var);
       std::vector<GaussianDistribution> gaussians;
       gaussians.reserve(num_clusters);
       for (size_t k = 0; k < num_clusters; ++k) {
-        // Quantile-aligned centers: cluster k starts at the k-th quantile
-        // of EVERY numerical attribute (plus jitter for seed diversity).
-        // This couples the cluster identities across attributes carried by
-        // disjoint object types — with independent random centers, each
-        // type's objects converge to a private permutation of the same
-        // partition and the cross-type relations get wrongly suppressed.
+        // Centers at random observed values plus jitter; the multi-seed
+        // objective picks the best start. The two draws are sequenced
+        // explicitly (operands of + are unsequenced).
         double center;
         if (pool.empty()) {
           center = mean + rng->Gaussian();
-        } else if (config.numerical_init == NumericalInit::kQuantile) {
-          const size_t idx = std::min(
-              pool.size() - 1,
-              static_cast<size_t>((static_cast<double>(k) + 0.5) /
-                                  static_cast<double>(num_clusters) *
-                                  static_cast<double>(pool.size())));
-          center = pool[idx] + 0.05 * stddev * rng->Gaussian();
         } else {
-          center = pool[rng->UniformIndex(pool.size())] +
-                   0.05 * stddev * rng->Gaussian();
+          const double observed = pool[rng->UniformIndex(pool.size())];
+          center = observed + 0.05 * stddev * rng->Gaussian();
         }
         gaussians.emplace_back(center, var);
       }
@@ -174,8 +165,13 @@ void BestOfSeedsInit(const EmOptimizer& optimizer, const Network& network,
     }
   }
   for (size_t s = 0; s < seeds; ++s) {
-    consider(RandomTheta(network.num_nodes(), config.num_clusters, rng),
-             InitialComponents(attributes, config, rng));
+    // Both draw from one Rng, so the order is spelled out instead of left
+    // to the compiler's (unspecified) argument evaluation order.
+    std::vector<AttributeComponents> cand_components =
+        InitialComponents(attributes, config, rng);
+    Matrix cand_theta =
+        RandomTheta(network.num_nodes(), config.num_clusters, rng);
+    consider(std::move(cand_theta), std::move(cand_components));
   }
 }
 

@@ -61,9 +61,13 @@ Status RequireLittleEndian() {
   return Status::OK();
 }
 
+// Grows then copies: GCC 12 flags vector::insert of a range into a still
+// empty vector as -Wstringop-overflow (a false positive).
 void AppendBytes(std::vector<uint8_t>* out, const void* src, size_t n) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(src);
-  out->insert(out->end(), bytes, bytes + n);
+  if (n == 0) return;
+  const size_t offset = out->size();
+  out->resize(offset + n);
+  std::memcpy(out->data() + offset, src, n);
 }
 
 template <typename T>

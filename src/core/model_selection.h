@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "core/config.h"
-#include "core/genclus.h"
 #include "hin/dataset.h"
 
 namespace genclus {

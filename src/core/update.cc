@@ -16,6 +16,9 @@ namespace genclus {
 
 namespace {
 
+// Jacobi refinement rounds ApplyUpdates runs over the touched node set.
+constexpr size_t kUpdateRounds = 2;
+
 // Same normalization rule as the EM sweep and the serving sweep: project
 // onto the simplex with the theta floor, uniform fallback for all-zero
 // mixes.
@@ -173,9 +176,6 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
   GENCLUS_RETURN_IF_ERROR(dataset.Validate());
   GENCLUS_RETURN_IF_ERROR(prev_model.Validate());
   GENCLUS_RETURN_IF_ERROR(CheckModelMatchesDataset(prev_model, dataset));
-  if (options.seed_sweeps < 1) {
-    return Status::InvalidArgument("seed_sweeps must be >= 1");
-  }
   const Schema& schema = dataset.network.schema();
   const size_t n = dataset.network.num_nodes();
   const size_t prev_rows = prev_model.num_nodes();
@@ -210,38 +210,26 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
   for (size_t v = prev_rows; v < n; ++v) {
     FoldInRow(dataset.network, static_cast<NodeId>(v), theta,
               /*valid_rows=*/v, config.initial_gamma, attrs,
-              prev_model.components, options.seed_sweeps,
+              prev_model.components, ServeDefaults::kInferenceIterations,
               config.theta_floor, theta.Row(v));
   }
 
-  GenClus algorithm(&dataset.network, attrs, config);
-  algorithm.SetWarmStart(std::move(theta), prev_model.components);
-  algorithm.SetProgressObserver(options.observer);
-  algorithm.SetCancellationToken(options.cancellation);
-  GENCLUS_ASSIGN_OR_RETURN(GenClusResult run, algorithm.Run());
-  return AssembleFitResult(schema, std::move(run), std::move(attr_info),
-                           config.theta_shards, timer.Seconds());
+  GENCLUS_ASSIGN_OR_RETURN(
+      FitResult fit,
+      RunOuterLoop(dataset.network, std::move(attrs), std::move(attr_info),
+                   config, WarmStart{std::move(theta), prev_model.components},
+                   options.observer, options.cancellation));
+  fit.report.total_seconds = timer.Seconds();
+  return fit;
 }
 
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
-                                  std::span<const NetworkDelta> deltas,
-                                  const UpdateOptions& options) {
+                                  std::span<const NetworkDelta> deltas) {
   GENCLUS_CHECK(dataset != nullptr && model != nullptr);
   GENCLUS_RETURN_IF_ERROR(dataset->Validate());
   GENCLUS_RETURN_IF_ERROR(model->Validate());
   GENCLUS_RETURN_IF_ERROR(CheckModelMatchesDataset(*model, *dataset));
-  if (options.rounds < 1) {
-    return Status::InvalidArgument("rounds must be >= 1");
-  }
-  if (options.fold_in_sweeps < 1) {
-    return Status::InvalidArgument("fold_in_sweeps must be >= 1");
-  }
   const size_t num_clusters = model->num_clusters();
-  if (!(options.theta_floor > 0.0) ||
-      options.theta_floor >= 1.0 / static_cast<double>(num_clusters)) {
-    return Status::InvalidArgument(
-        "theta_floor must be in (0, 1/num_clusters)");
-  }
   const size_t old_nodes = dataset->network.num_nodes();
   if (model->num_nodes() != old_nodes) {
     return Status::InvalidArgument(StrFormat(
@@ -296,18 +284,20 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
   // Jacobi rounds: each round re-solves every touched row against a
   // snapshot of the previous round's Theta, so the result is independent
   // of the iteration order (deterministic, and trivially parallelizable).
-  for (size_t round = 0; round < options.rounds; ++round) {
+  for (size_t round = 0; round < kUpdateRounds; ++round) {
     const Matrix snapshot = model->theta;
     for (size_t v = 0; v < n; ++v) {
       if (!touched[v]) continue;
       FoldInRow(dataset->network, static_cast<NodeId>(v), snapshot,
                 /*valid_rows=*/n, model->gamma, attrs, model->components,
-                options.fold_in_sweeps, options.theta_floor,
-                model->theta.Row(v));
+                ServeDefaults::kInferenceIterations,
+                ServeDefaults::kThetaFloor, model->theta.Row(v));
     }
   }
 
-  if (options.refresh_components && !attrs.empty()) {
+  // Re-estimate beta and the Gaussians from the settled rows (one pass
+  // over all observations).
+  if (!attrs.empty()) {
     GenClusConfig config;
     config.num_clusters = num_clusters;
     EmOptimizer optimizer(&dataset->network, attrs, &config, nullptr);

@@ -6,9 +6,9 @@
 //   * ApplyUpdates — streaming: folds batches of NetworkDelta (hin/delta.h)
 //     into an existing Dataset + Model in place. New nodes get Theta rows
 //     from the fold-in update (the same Eq. 10/11 arithmetic serving
-//     uses), touched survivors are re-solved with a few Jacobi rounds,
-//     and components are optionally re-estimated from the updated Theta.
-//     No EM sweeps over the full network.
+//     uses), touched survivors are re-solved with two Jacobi rounds, and
+//     components are re-estimated from the updated Theta. No EM sweeps
+//     over the full network.
 //
 //   * Engine::Refit (declared in core/engine.h, defined here) — nightly:
 //     a full Algorithm 1 run on the grown dataset, warm-started from the
@@ -38,29 +38,10 @@ namespace genclus {
 /// config.initial_gamma means "carry the previous model's gamma".
 struct RefitOptions {
   GenClusConfig config;
-  /// Fixed-point sweeps seeding each new node's Theta row (>= 1).
-  size_t seed_sweeps = ServeDefaults::kInferenceIterations;
   /// Notified after every outer iteration; null = no observation.
   ProgressObserver* observer = nullptr;
   /// Polled between outer iterations; null = not cancellable.
   const CancellationToken* cancellation = nullptr;
-};
-
-/// Options of ApplyUpdates.
-struct UpdateOptions {
-  /// Jacobi refinement rounds over the touched node set: every round
-  /// re-solves each touched row against a snapshot of the previous
-  /// round's full Theta, so the result is independent of iteration order
-  /// and deterministic. >= 1.
-  size_t rounds = 2;
-  /// Fixed-point sweeps per touched row per round (>= 1).
-  size_t fold_in_sweeps = ServeDefaults::kInferenceIterations;
-  /// Floor applied to updated membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
-  /// Re-estimate beta and the Gaussians from the updated Theta after the
-  /// rows settle (one pass over all observations). When false, components
-  /// are carried unchanged — cheaper, and fine for small deltas.
-  bool refresh_components = true;
 };
 
 /// What one ApplyUpdates call did.
@@ -77,15 +58,15 @@ struct UpdateReport {
 
 /// Folds `deltas` (applied in order) into `dataset` and `model` in place:
 /// the dataset grows via ApplyNetworkDelta, the model gains fold-in Theta
-/// rows for new nodes, and every touched row is refined with
-/// options.rounds Jacobi rounds. The model's objective field is left at
-/// its last fitted value (stale until the next Refit). Requires
+/// rows for new nodes, every touched row is refined with two Jacobi
+/// rounds, and beta and the Gaussians are re-estimated from the settled
+/// Theta. The model's objective field is left at its last fitted value
+/// (stale until the next Refit). Requires
 /// model->num_nodes() == dataset->network.num_nodes() on entry and the
 /// model's attribute/link-type metadata to match the dataset's schema.
 /// On error the dataset may have grown by a prefix of the deltas, but the
 /// model is only ever mutated after every delta validated and applied.
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
-                                  std::span<const NetworkDelta> deltas,
-                                  const UpdateOptions& options = {});
+                                  std::span<const NetworkDelta> deltas);
 
 }  // namespace genclus

@@ -11,14 +11,6 @@ namespace {
 
 using testing::MakeTwoCommunityNetwork;
 
-std::vector<uint32_t> HardLabels(const Matrix& theta) {
-  std::vector<uint32_t> labels(theta.rows());
-  for (size_t v = 0; v < theta.rows(); ++v) {
-    labels[v] = static_cast<uint32_t>(ArgMax(theta.RowVector(v)));
-  }
-  return labels;
-}
-
 TEST(NetPlsaTest, RecoversCommunitiesWithFullText) {
   auto fixture = MakeTwoCommunityNetwork(8, 1.0, 91);
   NetPlsaConfig config;
@@ -28,7 +20,7 @@ TEST(NetPlsaTest, RecoversCommunitiesWithFullText) {
                       fixture.dataset.attributes[0], config);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const double nmi = NormalizedMutualInformation(
-      HardLabels(r->theta), fixture.dataset.labels.raw());
+      RowArgMax(r->theta), fixture.dataset.labels.raw());
   EXPECT_GT(nmi, 0.8);
 }
 
@@ -106,7 +98,7 @@ TEST(ITopicModelTest, RecoversCommunitiesWithFullText) {
                           fixture.dataset.attributes[0], config);
   ASSERT_TRUE(r.ok());
   const double nmi = NormalizedMutualInformation(
-      HardLabels(r->theta), fixture.dataset.labels.raw());
+      RowArgMax(r->theta), fixture.dataset.labels.raw());
   EXPECT_GT(nmi, 0.8);
 }
 
@@ -120,7 +112,7 @@ TEST(ITopicModelTest, PropagatesToTextFreeNodes) {
   ASSERT_TRUE(r.ok());
   // Tags have no text but link to their community's docs: their argmax
   // should match their docs'.
-  const auto labels = HardLabels(r->theta);
+  const auto labels = RowArgMax(r->theta);
   EXPECT_EQ(labels[fixture.tags[0]], labels[fixture.docs[0]]);
   EXPECT_EQ(labels[fixture.tags[1]], labels[fixture.docs[6]]);
 }

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "core/strength.h"
 #include "eval/nmi.h"
 #include "prob/simplex.h"
@@ -30,63 +30,67 @@ void PrintTo(const SweepCase& c, std::ostream* os) {
       << " K=" << c.num_clusters << " seed=" << c.seed;
 }
 
-class GenClusSweep : public ::testing::TestWithParam<SweepCase> {};
+class FitSweep : public ::testing::TestWithParam<SweepCase> {};
 
-TEST_P(GenClusSweep, InvariantsHold) {
+TEST_P(FitSweep, InvariantsHold) {
   const SweepCase c = GetParam();
   auto fixture = MakeTwoCommunityNetwork(c.docs_per_side, c.text_fraction,
                                          c.seed);
-  GenClusConfig config;
-  config.num_clusters = c.num_clusters;
-  config.outer_iterations = 4;
-  config.em_iterations = 30;
-  config.num_init_seeds = 2;
-  config.seed = c.seed * 31 + 1;
-  auto result = RunGenClus(fixture.dataset, {"text"}, config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  FitOptions options;
+  options.attributes = {"text"};
+  options.config.num_clusters = c.num_clusters;
+  options.config.outer_iterations = 4;
+  options.config.em_iterations = 30;
+  options.config.num_init_seeds = 2;
+  options.config.seed = c.seed * 31 + 1;
+  auto fit = Engine::Fit(fixture.dataset, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  const Model& model = fit->model;
 
   // Invariant 1: every membership row on the simplex.
-  for (size_t v = 0; v < result->theta.rows(); ++v) {
-    EXPECT_TRUE(IsOnSimplex(result->theta.RowVector(v), 1e-9))
+  for (size_t v = 0; v < model.theta.rows(); ++v) {
+    EXPECT_TRUE(IsOnSimplex(model.theta.RowVector(v), 1e-9))
         << "node " << v;
   }
   // Invariant 2: strengths non-negative and finite.
-  for (double g : result->gamma) {
+  for (double g : model.gamma) {
     EXPECT_GE(g, 0.0);
     EXPECT_TRUE(std::isfinite(g));
   }
   // Invariant 3: objective finite.
-  EXPECT_TRUE(std::isfinite(result->objective));
+  EXPECT_TRUE(std::isfinite(model.objective));
   // Invariant 4: trace covers every iteration run.
-  EXPECT_GE(result->trace.size(), 2u);
+  EXPECT_GE(fit->report.trace.size(), 2u);
 
   // Invariant 5: bit-identical replay.
-  auto replay = RunGenClus(fixture.dataset, {"text"}, config);
+  auto replay = Engine::Fit(fixture.dataset, options);
   ASSERT_TRUE(replay.ok());
-  EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(result->theta, replay->theta), 0.0);
+  EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(model.theta, replay->model.theta),
+                   0.0);
 }
 
-TEST_P(GenClusSweep, RecoversStructureWithFullText) {
+TEST_P(FitSweep, RecoversStructureWithFullText) {
   const SweepCase c = GetParam();
   if (c.text_fraction < 1.0 || c.num_clusters != 2) {
     GTEST_SKIP() << "recovery check only for the identifiable cases";
   }
   auto fixture = MakeTwoCommunityNetwork(c.docs_per_side, 1.0, c.seed);
-  GenClusConfig config;
-  config.num_clusters = 2;
-  config.outer_iterations = 4;
-  config.em_iterations = 40;
-  config.num_init_seeds = 3;
-  config.seed = c.seed * 13 + 5;
-  auto result = RunGenClus(fixture.dataset, {"text"}, config);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(NormalizedMutualInformation(result->HardLabels(),
+  FitOptions options;
+  options.attributes = {"text"};
+  options.config.num_clusters = 2;
+  options.config.outer_iterations = 4;
+  options.config.em_iterations = 40;
+  options.config.num_init_seeds = 3;
+  options.config.seed = c.seed * 13 + 5;
+  auto fit = Engine::Fit(fixture.dataset, options);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_GT(NormalizedMutualInformation(fit->model.HardLabels(),
                                         fixture.dataset.labels.raw()),
             0.85);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, GenClusSweep,
+    Sweep, FitSweep,
     ::testing::Values(SweepCase{4, 1.0, 2, 1}, SweepCase{4, 0.5, 2, 2},
                       SweepCase{4, 0.0, 2, 3}, SweepCase{8, 1.0, 2, 4},
                       SweepCase{8, 0.3, 2, 5}, SweepCase{8, 1.0, 3, 6},

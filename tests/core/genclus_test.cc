@@ -1,13 +1,13 @@
 // End-to-end training through the Engine::Fit surface: recovery of planted
 // structure, strength learning behaviour, determinism, tracing, progress
-// observation, cancellation, and input validation. The RunGenClus
-// compatibility shim is covered at the bottom.
+// observation, cancellation, and input validation. The observer and
+// cancellation checks run through both Engine::Fit and Engine::Refit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/engine.h"
-#include "core/genclus.h"
+#include "core/update.h"
 #include "eval/nmi.h"
 #include "prob/simplex.h"
 #include "tests/core/test_fixtures.h"
@@ -103,45 +103,6 @@ TEST(EngineFitTest, ReportRecordsEveryOuterIteration) {
     EXPECT_GT(report.trace[i].em_iterations, 0u);
     EXPECT_TRUE(std::isfinite(report.trace[i].em_objective));
   }
-}
-
-TEST(EngineFitTest, ProgressObserverSeesEveryIteration) {
-  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 63);
-  class CountingObserver : public ProgressObserver {
-   public:
-    explicit CountingObserver(size_t num_nodes) : num_nodes_(num_nodes) {}
-    void OnOuterIteration(const OuterIterationRecord& record,
-                          const Matrix& theta) override {
-      ++calls;
-      EXPECT_EQ(theta.rows(), num_nodes_);
-      EXPECT_GE(record.iteration, 1u);
-    }
-    size_t calls = 0;
-
-   private:
-    size_t num_nodes_;
-  };
-  CountingObserver observer(fixture.dataset.network.num_nodes());
-  FitOptions options = SmallOptions();
-  options.config.outer_iterations = 3;
-  options.config.outer_tolerance = 0.0;
-  options.observer = &observer;
-  auto fit = Engine::Fit(fixture.dataset, options);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_EQ(observer.calls, 3u);
-}
-
-TEST(EngineFitTest, CancellationStopsTraining) {
-  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 63);
-  CancellationToken token;
-
-  // Pre-cancelled: no outer iteration runs.
-  token.RequestCancellation();
-  FitOptions options = SmallOptions();
-  options.cancellation = &token;
-  auto fit = Engine::Fit(fixture.dataset, options);
-  ASSERT_FALSE(fit.ok());
-  EXPECT_EQ(fit.status().code(), StatusCode::kCancelled);
 }
 
 TEST(EngineFitTest, CancellationFromObserverStopsAfterCurrentIteration) {
@@ -291,34 +252,77 @@ TEST(EngineFitTest, ModelCarriesSchemaAndAttributeMetadata) {
   EXPECT_EQ(model.attributes[0].vocab_size, 4u);
 }
 
-// --- RunGenClus compatibility shim ---
+// --- Both entry points reach the one outer loop ---
 
-TEST(RunGenClusShimTest, MatchesEngineFit) {
-  auto fixture = MakeTwoCommunityNetwork(6, 1.0, 81);
-  GenClusConfig config = testing::PlantedFixtureConfig(123);
-  auto legacy = RunGenClus(fixture.dataset, {"text"}, config);
-  auto fit = Engine::Fit(fixture.dataset, SmallOptions());
-  ASSERT_TRUE(legacy.ok() && fit.ok());
-  EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(legacy->theta, fit->model.theta), 0.0);
-  ASSERT_EQ(legacy->gamma.size(), fit->model.gamma.size());
-  for (size_t r = 0; r < legacy->gamma.size(); ++r) {
-    EXPECT_DOUBLE_EQ(legacy->gamma[r], fit->model.gamma[r]);
+enum class EntryPoint { kFit, kRefit };
+
+// Trains through Engine::Fit, or through Engine::Refit warm-started from a
+// plain fit of the same dataset; the hooks reach only the call under test.
+Result<FitResult> Train(EntryPoint entry, const Dataset& dataset,
+                        const FitOptions& options) {
+  if (entry == EntryPoint::kFit) return Engine::Fit(dataset, options);
+  FitOptions plain = options;
+  plain.observer = nullptr;
+  plain.cancellation = nullptr;
+  GENCLUS_ASSIGN_OR_RETURN(FitResult prev, Engine::Fit(dataset, plain));
+  RefitOptions refit;
+  refit.config = options.config;
+  refit.observer = options.observer;
+  refit.cancellation = options.cancellation;
+  return Engine::Refit(dataset, prev.model, refit);
+}
+
+class EntryPointTest : public ::testing::TestWithParam<EntryPoint> {};
+
+TEST_P(EntryPointTest, ObserverSeesEveryOuterIteration) {
+  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 63);
+  class RecordingObserver : public ProgressObserver {
+   public:
+    explicit RecordingObserver(size_t num_nodes) : num_nodes_(num_nodes) {}
+    void OnOuterIteration(const OuterIterationRecord& record,
+                          const Matrix& theta) override {
+      EXPECT_EQ(theta.rows(), num_nodes_);
+      seen.push_back(record);
+    }
+    std::vector<OuterIterationRecord> seen;
+
+   private:
+    size_t num_nodes_;
+  };
+  RecordingObserver observer(fixture.dataset.network.num_nodes());
+  FitOptions options = SmallOptions();
+  options.config.outer_iterations = 3;
+  options.config.outer_tolerance = 0.0;  // never early-stop
+  options.observer = &observer;
+  auto fit = Train(GetParam(), fixture.dataset, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+
+  const FitReport& report = fit->report;
+  ASSERT_EQ(report.outer_iterations, 3u);
+  ASSERT_EQ(observer.seen.size(), 3u);
+  for (size_t i = 0; i < observer.seen.size(); ++i) {
+    EXPECT_EQ(observer.seen[i].iteration, i + 1);
+    EXPECT_EQ(observer.seen[i].gamma, report.trace[i + 1].gamma);
   }
-  EXPECT_DOUBLE_EQ(legacy->objective, fit->model.objective);
 }
 
-TEST(RunGenClusShimTest, RejectsBadInputs) {
-  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 69);
-  GenClusConfig config = testing::PlantedFixtureConfig(123);
-
-  auto missing = RunGenClus(fixture.dataset, {"nope"}, config);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-
-  config.num_clusters = 1;
-  auto bad_k = RunGenClus(fixture.dataset, {"text"}, config);
-  EXPECT_FALSE(bad_k.ok());
+TEST_P(EntryPointTest, PreSetTokenReturnsCancelled) {
+  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 63);
+  CancellationToken token;
+  token.RequestCancellation();
+  FitOptions options = SmallOptions();
+  options.cancellation = &token;
+  auto fit = Train(GetParam(), fixture.dataset, options);
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kCancelled);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FitAndRefit, EntryPointTest,
+    ::testing::Values(EntryPoint::kFit, EntryPoint::kRefit),
+    [](const ::testing::TestParamInfo<EntryPoint>& info) {
+      return info.param == EntryPoint::kFit ? "Fit" : "Refit";
+    });
 
 }  // namespace
 }  // namespace genclus

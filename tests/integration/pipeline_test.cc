@@ -8,13 +8,12 @@
 #include "baselines/kmeans.h"
 #include "baselines/spectral.h"
 #include "baselines/topic_models.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/weather_generator.h"
 #include "eval/link_prediction.h"
 #include "eval/nmi.h"
 #include "hin/io.h"
-#include "prob/simplex.h"
 
 namespace genclus {
 namespace {
@@ -41,35 +40,34 @@ DblpConfig MiniDblp() {
   return config;
 }
 
-GenClusConfig WeatherGenClusConfig() {
-  GenClusConfig config;
-  config.num_clusters = 4;
-  config.outer_iterations = 5;
-  config.em_iterations = 40;
-  config.num_init_seeds = 2;
-  config.seed = 7;
-  return config;
+FitOptions WeatherFitOptions() {
+  FitOptions options;
+  options.attributes = {"temperature", "precipitation"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 5;
+  options.config.em_iterations = 40;
+  options.config.num_init_seeds = 2;
+  options.config.seed = 7;
+  return options;
 }
 
 TEST(WeatherPipelineTest, GenClusBeatsChanceClearly) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = Engine::Fit(data->dataset, WeatherFitOptions());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const double nmi = NormalizedMutualInformation(
-      result->HardLabels(), data->dataset.labels.raw());
+      result->model.HardLabels(), data->dataset.labels.raw());
   EXPECT_GT(nmi, 0.5);
 }
 
 TEST(WeatherPipelineTest, GenClusBeatsKMeansOnIncompleteAttributes) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                        WeatherGenClusConfig());
+  auto gen = Engine::Fit(data->dataset, WeatherFitOptions());
   ASSERT_TRUE(gen.ok());
   const double gen_nmi = NormalizedMutualInformation(
-      gen->HardLabels(), data->dataset.labels.raw());
+      gen->model.HardLabels(), data->dataset.labels.raw());
 
   const Attribute& temp = data->dataset.attributes[0];
   const Attribute& precip = data->dataset.attributes[1];
@@ -91,14 +89,14 @@ TEST(WeatherPipelineTest, GenClusBeatsKMeansOnIncompleteAttributes) {
 TEST(WeatherPipelineTest, LinkPredictionOnTpRelation) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = Engine::Fit(data->dataset, WeatherFitOptions());
   ASSERT_TRUE(result.ok());
   for (SimilarityKind kind :
        {SimilarityKind::kCosine, SimilarityKind::kNegativeEuclidean,
         SimilarityKind::kNegativeCrossEntropy}) {
-    auto map = EvaluateLinkPrediction(data->dataset.network, result->theta,
-                                      data->tp_link, kind);
+    auto map = EvaluateLinkPrediction(data->dataset.network,
+                                      result->model.theta, data->tp_link,
+                                      kind);
     ASSERT_TRUE(map.ok());
     // kNN links follow geography which follows clusters: far better than
     // the ~k/|P| random baseline.
@@ -111,13 +109,12 @@ TEST(WeatherPipelineTest, StrengthsOrderedByAttributeQuality) {
   // Setting 1 with sparse P sensors (P sensors mix over 3 rings).
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = Engine::Fit(data->dataset, WeatherFitOptions());
   ASSERT_TRUE(result.ok());
-  for (double g : result->gamma) EXPECT_GE(g, 0.0);
+  for (double g : result->model.gamma) EXPECT_GE(g, 0.0);
   // At least one strength strictly positive: links carry signal here.
   double max_gamma = 0.0;
-  for (double g : result->gamma) max_gamma = std::max(max_gamma, g);
+  for (double g : result->model.gamma) max_gamma = std::max(max_gamma, g);
   EXPECT_GT(max_gamma, 0.0);
 }
 
@@ -132,10 +129,11 @@ TEST(DblpPipelineTest, AcNetworkClusteringRecoversAreas) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 11;
-  auto result = RunGenClus(ac->dataset, {"text"}, config);
+  auto result = Engine::Fit(ac->dataset,
+                            {.attributes = {"text"}, .config = config});
   ASSERT_TRUE(result.ok());
   const double nmi = NormalizedMutualInformation(
-      result->HardLabels(), ac->dataset.labels.raw());
+      result->model.HardLabels(), ac->dataset.labels.raw());
   EXPECT_GT(nmi, 0.6);
 }
 
@@ -150,7 +148,8 @@ TEST(DblpPipelineTest, AcpNetworkHandlesTextlessTypes) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 13;
-  auto result = RunGenClus(acp->dataset, {"text"}, config);
+  auto result = Engine::Fit(acp->dataset,
+                            {.attributes = {"text"}, .config = config});
   ASSERT_TRUE(result.ok());
   // Authors carry no text; their NMI must still be far above zero.
   std::vector<uint32_t> author_truth(acp->dataset.network.num_nodes(),
@@ -160,7 +159,7 @@ TEST(DblpPipelineTest, AcpNetworkHandlesTextlessTypes) {
         acp->dataset.labels.Get(acp->author_nodes[a]);
   }
   const double author_nmi = NormalizedMutualInformation(
-      result->HardLabels(), author_truth);
+      result->model.HardLabels(), author_truth);
   EXPECT_GT(author_nmi, 0.3);
 }
 
@@ -176,10 +175,11 @@ TEST(DblpPipelineTest, GenClusBeatsHomogeneousBaselinesOnAcp) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 17;
-  auto gen = RunGenClus(acp->dataset, {"text"}, config);
+  auto gen = Engine::Fit(acp->dataset,
+                         {.attributes = {"text"}, .config = config});
   ASSERT_TRUE(gen.ok());
   const double gen_nmi = NormalizedMutualInformation(
-      gen->HardLabels(), acp->dataset.labels.raw());
+      gen->model.HardLabels(), acp->dataset.labels.raw());
 
   NetPlsaConfig np_config;
   np_config.num_clusters = 4;
@@ -187,12 +187,8 @@ TEST(DblpPipelineTest, GenClusBeatsHomogeneousBaselinesOnAcp) {
   auto np = RunNetPlsa(acp->dataset.network,
                        acp->dataset.attributes[0], np_config);
   ASSERT_TRUE(np.ok());
-  std::vector<uint32_t> np_labels(np->theta.rows());
-  for (size_t v = 0; v < np->theta.rows(); ++v) {
-    np_labels[v] = static_cast<uint32_t>(ArgMax(np->theta.RowVector(v)));
-  }
   const double np_nmi = NormalizedMutualInformation(
-      np_labels, acp->dataset.labels.raw());
+      RowArgMax(np->theta), acp->dataset.labels.raw());
   // Fig. 6's qualitative claim, with slack for the miniature scale.
   EXPECT_GT(gen_nmi, np_nmi - 0.1);
 }
@@ -210,14 +206,14 @@ TEST(IoPipelineTest, WeatherRoundTripPreservesClustering) {
   auto loaded = LoadDataset(path);
   ASSERT_TRUE(loaded.ok());
 
-  GenClusConfig config = WeatherGenClusConfig();
-  config.outer_iterations = 2;
-  auto original = RunGenClus(data->dataset,
-                             {"temperature", "precipitation"}, config);
-  auto reloaded = RunGenClus(*loaded, {"temperature", "precipitation"},
-                             config);
+  FitOptions options = WeatherFitOptions();
+  options.config.outer_iterations = 2;
+  auto original = Engine::Fit(data->dataset, options);
+  auto reloaded = Engine::Fit(*loaded, options);
   ASSERT_TRUE(original.ok() && reloaded.ok());
-  EXPECT_LT(Matrix::MaxAbsDiff(original->theta, reloaded->theta), 1e-9);
+  EXPECT_LT(
+      Matrix::MaxAbsDiff(original->model.theta, reloaded->model.theta),
+      1e-9);
   std::remove(path.c_str());
 }
 
