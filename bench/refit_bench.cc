@@ -7,16 +7,22 @@
 // precipitation sensors deployed; the remainder arrives as a
 // NetworkDelta (SliceDatasetPrefix produces exactly that delta), and the
 // grown network is re-solved two ways — cold Fit, and Refit warm-started
-// from the base model with convergence-aware EM sweeps on.
+// from the base model with convergence-aware EM sweeps on. The streaming
+// tier runs too: the delta is split into batches and folded into the
+// base model by ApplyUpdates one batch per call, each call timed
+// (update_ms_p50).
 //
 // Correctness gates (non-zero exit, CI treats as broken build):
 //   * warm Refit must reach the cold fit's NMI minus at most 0.01;
 //   * warm Refit must spend at most 50% of the cold fit's EM sweeps;
 //   * the convergence-aware Refit iterate must be bitwise invariant to
-//     thread count x shard count (Model::Fingerprint equality).
+//     thread count x shard count (Model::Fingerprint equality);
+//   * one ApplyUpdates call over the batch list must leave the model
+//     bitwise equal (Fingerprint) to one call over the unsplit delta.
 //
 // Flags: --out FILE (default BENCH_refit.json), --small (CI fixture),
 //        --data-seed N, --seed N.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -25,6 +31,7 @@
 #include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "core/engine.h"
 #include "core/update.h"
 #include "datagen/weather_generator.h"
@@ -48,7 +55,13 @@ struct Cell {
   double refit_seconds = 0.0;
   uint64_t refit_fingerprint = 0;
   bool fingerprint_invariant = false;
+  size_t update_batches = 0;
+  double update_ms_p50 = 0.0;
+  bool update_split_invariant = false;
 };
+
+// Delta batches the streaming tier folds in, one ApplyUpdates call each.
+constexpr size_t kUpdateBatches = 6;
 
 size_t TraceEmSweeps(const FitReport& report) {
   size_t sweeps = 0;
@@ -102,12 +115,14 @@ void WriteJson(const std::string& path, const std::string& fixture,
         "\"sweep_ratio\": %.3f, \"refit_blocks_skipped\": %zu, "
         "\"full_seconds\": %.3f, \"refit_seconds\": %.3f, "
         "\"refit_fingerprint\": \"%016llx\", "
-        "\"fingerprint_invariant\": %s}%s\n",
+        "\"fingerprint_invariant\": %s, \"update_batches\": %zu, "
+        "\"update_ms_p50\": %.3f, \"update_split_invariant\": %s}%s\n",
         c.base_nodes, c.full_nodes, c.full_nmi, c.refit_nmi,
         c.full_em_sweeps, c.refit_em_sweeps, c.sweep_ratio,
         c.refit_blocks_skipped, c.full_seconds, c.refit_seconds,
         static_cast<unsigned long long>(c.refit_fingerprint),
-        c.fingerprint_invariant ? "true" : "false",
+        c.fingerprint_invariant ? "true" : "false", c.update_batches,
+        c.update_ms_p50, c.update_split_invariant ? "true" : "false",
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -134,7 +149,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("refit: warm-start maintenance vs from-scratch fit");
   PrintRow({"nodes", "nmi_full", "nmi_refit", "sweeps", "ratio", "skip",
-            "speedup"});
+            "speedup", "update_ms"});
 
   std::vector<Cell> cells;
   bool gates_ok = true;
@@ -255,6 +270,53 @@ int main(int argc, char** argv) {
     }
     if (!cell.fingerprint_invariant) gates_ok = false;
 
+    // Streaming tier: the deployment folded into the base model batch by
+    // batch, one timed ApplyUpdates call per batch.
+    const std::vector<NetworkDelta> batches =
+        SplitRemainder(deployment, base_nodes, kUpdateBatches);
+    Dataset streamed = *base;
+    Model streamed_model = base_fit->model;
+    std::vector<double> update_ms;
+    for (const NetworkDelta& batch : batches) {
+      WallTimer timer;
+      auto applied = ApplyUpdates(&streamed, &streamed_model, {&batch, 1});
+      update_ms.push_back(timer.Seconds() * 1e3);
+      if (!applied.ok()) {
+        std::fprintf(stderr, "%s\n", applied.status().ToString().c_str());
+        return 1;
+      }
+    }
+    std::sort(update_ms.begin(), update_ms.end());
+    cell.update_batches = batches.size();
+    cell.update_ms_p50 = update_ms[update_ms.size() / 2];
+    if (streamed.network.num_nodes() != full_nodes ||
+        streamed.network.num_links() != data->dataset.network.num_links()) {
+      std::fprintf(stderr, "FAIL: update batches do not grow the base into "
+                           "the full network\n");
+      gates_ok = false;
+    }
+    // One call over the batch list and one over the unsplit delta see the
+    // same grown dataset and touched rows, so they must agree bitwise.
+    Dataset listed = *base;
+    Model listed_model = base_fit->model;
+    Dataset whole = *base;
+    Model whole_model = base_fit->model;
+    auto listed_report = ApplyUpdates(&listed, &listed_model, batches);
+    auto whole_report = ApplyUpdates(&whole, &whole_model, {&deployment, 1});
+    if (!listed_report.ok() || !whole_report.ok()) {
+      std::fprintf(stderr, "ApplyUpdates over the batch list failed\n");
+      return 1;
+    }
+    cell.update_split_invariant =
+        listed_model.Fingerprint() == whole_model.Fingerprint();
+    if (!cell.update_split_invariant) {
+      std::fprintf(stderr,
+                   "FAIL: ApplyUpdates over %zu batches drifts from one "
+                   "call over the whole delta at %zu nodes\n",
+                   batches.size(), full_nodes);
+      gates_ok = false;
+    }
+
     PrintRow({StrFormat("%zu->%zu", base_nodes, full_nodes),
               Fmt(cell.full_nmi), Fmt(cell.refit_nmi),
               StrFormat("%zu/%zu", cell.refit_em_sweeps,
@@ -264,7 +326,8 @@ int main(int argc, char** argv) {
               StrFormat("%.1fx", cell.refit_seconds > 0.0
                                      ? cell.full_seconds /
                                            cell.refit_seconds
-                                     : 0.0)});
+                                     : 0.0),
+              StrFormat("%.3f", cell.update_ms_p50)});
     cells.push_back(cell);
   }
 

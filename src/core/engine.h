@@ -139,8 +139,8 @@ struct EngineOptions {
 struct RefitOptions;  // core/update.h
 
 /// Reusable serving object: a Network + trained Model + thread pool +
-/// batch planner/session. The network must outlive the engine; the model
-/// is owned.
+/// batch planner/session. The network must outlive the engine and must
+/// not grow (GrowDataset, hin/delta.h) while it exists; the model is owned.
 class Engine {
  public:
   /// Trains a model on `dataset`. Validates the dataset, the attribute

@@ -237,7 +237,8 @@ struct ServerStats {
 
 /// Micro-batching fold-in server over a (network, model) pair. Create it
 /// once, Submit from any number of threads, Stop (or destroy) to shut
-/// down. The network must outlive the server; the model is either owned
+/// down. The network must outlive the server and must not grow
+/// (GrowDataset, hin/delta.h) while it exists; the model is either owned
 /// (Model / shared_ptr overloads) or borrowed (const Model* overload —
 /// must outlive the server and stay unmutated, the contract Engine relies
 /// on). SwapModel replaces the served model at runtime with zero dropped

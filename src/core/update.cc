@@ -41,6 +41,16 @@ void NormalizeRow(const double* mix, size_t num_clusters, double floor,
   for (size_t k = 0; k < num_clusters; ++k) out[k] /= clamped_total;
 }
 
+// Buffers of FoldInRow, reused across rows.
+struct FoldInScratch {
+  std::vector<double> link_mix;
+  std::vector<double> mix;
+  std::vector<double> resp;
+  std::vector<double> theta_v;
+  std::vector<double> log_theta;
+  std::vector<double> log_pdf;
+};
+
 // The fold-in update (Eq. 10/11 with the rest of the model fixed) for one
 // node of a full network: the link term reads `snapshot` rows — only
 // neighbors below `valid_rows`, so a Refit seeding pass can walk new
@@ -50,13 +60,20 @@ void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
                size_t valid_rows, const std::vector<double>& gamma,
                const std::vector<const Attribute*>& attrs,
                const std::vector<AttributeComponents>& components,
-               size_t iterations, double theta_floor, double* out) {
+               size_t iterations, double theta_floor, FoldInScratch* scratch,
+               double* out) {
   const size_t num_clusters = snapshot.cols();
-  std::vector<double> link_mix(num_clusters, 0.0);
-  std::vector<double> mix(num_clusters);
-  std::vector<double> resp(num_clusters);
-  std::vector<double> theta_v(num_clusters,
-                              1.0 / static_cast<double>(num_clusters));
+  std::vector<double>& link_mix = scratch->link_mix;
+  std::vector<double>& mix = scratch->mix;
+  std::vector<double>& resp = scratch->resp;
+  std::vector<double>& theta_v = scratch->theta_v;
+  std::vector<double>& log_theta = scratch->log_theta;
+  std::vector<double>& log_pdf = scratch->log_pdf;
+  link_mix.assign(num_clusters, 0.0);
+  mix.resize(num_clusters);
+  resp.resize(num_clusters);
+  theta_v.assign(num_clusters, 1.0 / static_cast<double>(num_clusters));
+  log_theta.resize(num_clusters);
 
   for (const LinkEntry& e : network.OutLinks(v)) {
     if (e.neighbor >= valid_rows) continue;
@@ -66,13 +83,30 @@ void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
     for (size_t k = 0; k < num_clusters; ++k) link_mix[k] += coeff * row[k];
   }
 
+  // log p(x | k) of every numerical observation does not depend on theta,
+  // so it is evaluated once here rather than once per sweep.
+  log_pdf.clear();
+  for (size_t t = 0; t < attrs.size(); ++t) {
+    if (attrs[t]->kind() != AttributeKind::kNumerical) continue;
+    for (double x : attrs[t]->Values(v)) {
+      for (size_t k = 0; k < num_clusters; ++k) {
+        log_pdf.push_back(components[t].LogPdf(k, x));
+      }
+    }
+  }
+
   for (size_t it = 0; it < iterations; ++it) {
     std::copy(link_mix.begin(), link_mix.end(), mix.begin());
+    if (!log_pdf.empty()) {
+      for (size_t k = 0; k < num_clusters; ++k) {
+        log_theta[k] = std::log(theta_v[k] > 0.0 ? theta_v[k] : 1e-300);
+      }
+    }
+    const double* pdf = log_pdf.data();
     for (size_t t = 0; t < attrs.size(); ++t) {
       const Attribute& attr = *attrs[t];
-      const AttributeComponents& comp = components[t];
       if (attr.kind() == AttributeKind::kCategorical) {
-        const Matrix& beta = comp.beta();
+        const Matrix& beta = components[t].beta();
         for (const TermCount& tc : attr.TermCounts(v)) {
           double total = 0.0;
           for (size_t k = 0; k < num_clusters; ++k) {
@@ -89,13 +123,13 @@ void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
           }
         }
       } else {
-        for (double x : attr.Values(v)) {
+        for (size_t i = 0; i < attr.Values(v).size(); ++i) {
           double max_log = -std::numeric_limits<double>::infinity();
           for (size_t k = 0; k < num_clusters; ++k) {
-            const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
-            resp[k] = std::log(tk) + comp.LogPdf(k, x);
+            resp[k] = log_theta[k] + pdf[k];
             max_log = std::max(max_log, resp[k]);
           }
+          pdf += num_clusters;
           double total = 0.0;
           for (size_t k = 0; k < num_clusters; ++k) {
             resp[k] = std::exp(resp[k] - max_log);
@@ -207,11 +241,12 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
     std::copy(prev_model.theta.Row(v), prev_model.theta.Row(v) + num_clusters,
               theta.Row(v));
   }
+  FoldInScratch scratch;
   for (size_t v = prev_rows; v < n; ++v) {
     FoldInRow(dataset.network, static_cast<NodeId>(v), theta,
               /*valid_rows=*/v, config.initial_gamma, attrs,
               prev_model.components, ServeDefaults::kInferenceIterations,
-              config.theta_floor, theta.Row(v));
+              config.theta_floor, &scratch, theta.Row(v));
   }
 
   GENCLUS_ASSIGN_OR_RETURN(
@@ -238,26 +273,31 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
   }
 
   WallTimer timer;
+  // GrowDataset validates the whole list before it changes anything, and
+  // nothing below can fail: an error leaves dataset and model as they were.
+  GENCLUS_RETURN_IF_ERROR(GrowDataset(dataset, deltas));
+  const size_t n = dataset->network.num_nodes();
+
   UpdateReport report;
-  // Grow the dataset delta by delta (each delta's ids address the network
-  // as of its turn) and collect the touched survivors.
-  std::vector<NodeId> touched_ids;
+  // Touched rows, ascending and distinct: every new node, the source of
+  // every new link and every node with a new observation.
+  std::vector<NodeId> touched;
+  for (size_t v = old_nodes; v < n; ++v) {
+    touched.push_back(static_cast<NodeId>(v));
+  }
   for (const NetworkDelta& delta : deltas) {
-    GENCLUS_ASSIGN_OR_RETURN(Dataset grown,
-                             ApplyNetworkDelta(*dataset, delta));
-    *dataset = std::move(grown);
-    for (const DeltaLink& link : delta.links) {
-      touched_ids.push_back(link.src);
-    }
+    for (const DeltaLink& link : delta.links) touched.push_back(link.src);
     for (const DeltaObservation& obs : delta.observations) {
-      touched_ids.push_back(obs.node);
+      touched.push_back(obs.node);
     }
     report.deltas_applied += 1;
     report.new_nodes += delta.nodes.size();
     report.new_links += delta.links.size();
     report.new_observations += delta.observations.size();
   }
-  const size_t n = dataset->network.num_nodes();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  report.touched_nodes = touched.size();
 
   std::vector<const Attribute*> attrs;
   attrs.reserve(model->attributes.size());
@@ -269,29 +309,25 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
 
   // Grow Theta: survivors keep their rows, new nodes start uniform and
   // are solved by the Jacobi rounds below (every new node is touched).
-  Matrix theta(n, num_clusters, 1.0 / static_cast<double>(num_clusters));
-  for (size_t v = 0; v < old_nodes; ++v) {
-    std::copy(model->theta.Row(v), model->theta.Row(v) + num_clusters,
-              theta.Row(v));
-  }
-  model->theta = std::move(theta);
+  model->theta.AppendRows(n - old_nodes,
+                          1.0 / static_cast<double>(num_clusters));
 
-  std::vector<uint8_t> touched(n, 0);
-  for (size_t v = old_nodes; v < n; ++v) touched[v] = 1;
-  for (NodeId v : touched_ids) touched[v] = 1;
-  for (uint8_t flag : touched) report.touched_nodes += flag;
-
-  // Jacobi rounds: each round re-solves every touched row against a
-  // snapshot of the previous round's Theta, so the result is independent
-  // of the iteration order (deterministic, and trivially parallelizable).
+  // Jacobi rounds: each round solves every touched row into `next` from
+  // the previous round's Theta and only then writes the rows back, so the
+  // result is independent of the iteration order (deterministic, and
+  // trivially parallelizable).
+  Matrix next(touched.size(), num_clusters);
+  FoldInScratch scratch;
   for (size_t round = 0; round < kUpdateRounds; ++round) {
-    const Matrix snapshot = model->theta;
-    for (size_t v = 0; v < n; ++v) {
-      if (!touched[v]) continue;
-      FoldInRow(dataset->network, static_cast<NodeId>(v), snapshot,
+    for (size_t i = 0; i < touched.size(); ++i) {
+      FoldInRow(dataset->network, touched[i], model->theta,
                 /*valid_rows=*/n, model->gamma, attrs, model->components,
                 ServeDefaults::kInferenceIterations,
-                ServeDefaults::kThetaFloor, model->theta.Row(v));
+                ServeDefaults::kThetaFloor, &scratch, next.Row(i));
+    }
+    for (size_t i = 0; i < touched.size(); ++i) {
+      std::copy(next.Row(i), next.Row(i) + num_clusters,
+                model->theta.Row(touched[i]));
     }
   }
 

@@ -8,7 +8,8 @@
 //     from the fold-in update (the same Eq. 10/11 arithmetic serving
 //     uses), touched survivors are re-solved with two Jacobi rounds, and
 //     components are re-estimated from the updated Theta. No EM sweeps
-//     over the full network.
+//     over the full network, and no rebuild of it: the cost follows the
+//     delta, not the network.
 //
 //   * Engine::Refit (declared in core/engine.h, defined here) — nightly:
 //     a full Algorithm 1 run on the grown dataset, warm-started from the
@@ -57,15 +58,21 @@ struct UpdateReport {
 };
 
 /// Folds `deltas` (applied in order) into `dataset` and `model` in place:
-/// the dataset grows via ApplyNetworkDelta, the model gains fold-in Theta
-/// rows for new nodes, every touched row is refined with two Jacobi
+/// the dataset grows via GrowDataset (hin/delta.h), the model gains
+/// Theta rows for new nodes, every touched row is refined with two Jacobi
 /// rounds, and beta and the Gaussians are re-estimated from the settled
 /// Theta. The model's objective field is left at its last fitted value
 /// (stale until the next Refit). Requires
 /// model->num_nodes() == dataset->network.num_nodes() on entry and the
 /// model's attribute/link-type metadata to match the dataset's schema.
-/// On error the dataset may have grown by a prefix of the deltas, but the
-/// model is only ever mutated after every delta validated and applied.
+///
+/// Cost: O(delta + touched rows x their degree) plus bulk moves of the
+/// adjacency arrays and one O(observations x K) component pass — no base
+/// link or observation is replayed. Atomic: the whole delta list is
+/// validated before anything changes, so on error neither `dataset` nor
+/// `model` is modified. Growing the dataset invalidates any Engine or
+/// Server created on its network (and any span or pointer into it); the
+/// refreshed model reaches a live server through Server::SwapModel.
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
                                   std::span<const NetworkDelta> deltas);
 

@@ -36,6 +36,15 @@ Attribute Attribute::Numerical(std::string name, size_t num_nodes) {
   return Attribute(std::move(name), AttributeKind::kNumerical, 0, num_nodes);
 }
 
+void Attribute::Resize(size_t num_nodes) {
+  num_nodes_ = num_nodes;
+  if (kind_ == AttributeKind::kCategorical) {
+    term_counts_.resize(num_nodes_);
+  } else {
+    values_.resize(num_nodes_);
+  }
+}
+
 size_t Attribute::vocab_size() const {
   GENCLUS_CHECK(kind_ == AttributeKind::kCategorical);
   return vocab_size_;

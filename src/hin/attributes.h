@@ -44,6 +44,10 @@ class Attribute {
   AttributeKind kind() const { return kind_; }
   size_t num_nodes() const { return num_nodes_; }
 
+  /// Re-sizes the attribute to `num_nodes` nodes: nodes past the old size
+  /// start with no observations, nodes past the new size are dropped.
+  void Resize(size_t num_nodes);
+
   /// Vocabulary size; only valid for categorical attributes.
   size_t vocab_size() const;
 

@@ -29,6 +29,8 @@ class Labels {
     return labels_[v];
   }
   bool IsLabeled(NodeId v) const { return Get(v) != kUnlabeled; }
+  /// Re-sizes to `num_nodes`; added nodes start unlabeled.
+  void Resize(size_t num_nodes) { labels_.resize(num_nodes, kUnlabeled); }
   size_t size() const { return labels_.size(); }
   size_t NumLabeled() const;
 

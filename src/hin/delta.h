@@ -3,16 +3,20 @@
 // of old and new nodes) and new attribute observations — in the base's id
 // space: the i-th new node of a delta gets id base.num_nodes() + i.
 //
-// Networks are immutable after Build, so growth is expressed as dataset
-// algebra: ApplyNetworkDelta rebuilds the grown Dataset (ids of surviving
-// nodes never change, which is what lets Engine::Refit carry their Theta
-// rows over), and SliceDatasetPrefix cuts one full dataset into a
-// base-plus-remainder pair — the growth-fixture generator refit_bench and
-// the incremental-maintenance tests are built on. The serving-side
-// consumer is ApplyUpdates (core/update.h), which folds deltas into a
-// fitted model between refits.
+// Growth appends in place: GrowDataset adds a delta list's nodes, links,
+// observations and labels to a Dataset at O(delta + touched rows) cost
+// plus bulk moves of the adjacency arrays — base links and observations
+// are never replayed. Ids of surviving nodes never change, which is what
+// lets Engine::Refit and ApplyUpdates (core/update.h) carry their Theta
+// rows over. Growing a dataset invalidates any Engine or Server created on
+// its network, and any span or pointer into it, exactly as move-assigning
+// a new dataset over it would. ApplyNetworkDelta is the copying form, and
+// SliceDatasetPrefix cuts one full dataset into a base-plus-remainder pair
+// — the growth-fixture generator refit_bench and the
+// incremental-maintenance tests are built on.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,14 +68,29 @@ struct NetworkDelta {
   }
 };
 
-/// Applies `delta` to `base` and returns the grown dataset; `base` is
-/// untouched. Base node ids carry over unchanged and delta nodes append
-/// in order. Each observation is applied according to its attribute's
-/// kind (term/count for categorical, value for numerical). Fails with
-/// InvalidArgument on out-of-range endpoints or terms, unknown attribute
-/// ids, or a non-empty node_labels whose size differs from delta.nodes.
+/// Grows `dataset` in place by `deltas`, applied in order: each delta
+/// addresses the network as of its turn, its nodes append in order, and
+/// each observation is applied according to its attribute's kind
+/// (term/count for categorical, value for numerical). The whole list is
+/// validated before anything changes — node types, link endpoints, link
+/// types against the schema's endpoint types, weights, attribute ids,
+/// terms, counts, values and label counts — and on error (InvalidArgument,
+/// or OutOfRange when the node id space runs out) `dataset` is unchanged.
+/// The result equals a NetworkBuilder::Build of the grown link set.
+Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas);
+
+/// Copies `base`, grows the copy by `delta` (GrowDataset) and returns it.
 Result<Dataset> ApplyNetworkDelta(const Dataset& base,
                                   const NetworkDelta& delta);
+
+/// Cuts `remainder` — a delta whose nodes append after `base_nodes`
+/// nodes — into `count` batches of consecutive new nodes (clamped to
+/// [1, max(1, new nodes)]). Each link goes with the batch of its later
+/// endpoint and each observation with the batch of its node (old nodes
+/// count as batch 0, ids past the new nodes the last batch), so growing
+/// by the batches in order equals growing by `remainder`.
+std::vector<NetworkDelta> SplitRemainder(const NetworkDelta& remainder,
+                                         size_t base_nodes, size_t count);
 
 /// Cuts `full` into its first `num_nodes` nodes — keeping exactly the
 /// links and observations among them — and, when `remainder` is non-null,

@@ -1,7 +1,8 @@
 // The heterogeneous information network G = (V, E, W): typed nodes, typed
-// weighted directed links, CSR adjacency in both directions. Built once via
-// NetworkBuilder, then immutable — the EM inner loop scans contiguous
-// out-link (and in-link) ranges.
+// weighted directed links, CSR adjacency in both directions. Built via
+// NetworkBuilder; the EM inner loop scans contiguous out-link (and in-link)
+// ranges. The only mutation after Build is growth through GrowDataset
+// (hin/delta.h), which appends nodes and links in place.
 #pragma once
 
 #include <span>
@@ -23,6 +24,9 @@ struct LinkEntry {
   double weight;
 };
 
+struct Dataset;
+struct NetworkDelta;
+
 /// SoA view of one relation's out-adjacency: the CSR matrix W_r over all
 /// nodes, with neighbor ids and weights in contiguous arrays. Row v spans
 /// [row_offsets[v], row_offsets[v + 1]); neighbors are ascending within a
@@ -39,7 +43,7 @@ struct RelationCsr {
 class Network;
 
 /// Accumulates nodes and links, validates them against the schema, and
-/// produces an immutable Network.
+/// produces a Network.
 class NetworkBuilder {
  public:
   explicit NetworkBuilder(Schema schema) : schema_(std::move(schema)) {}
@@ -68,7 +72,11 @@ class NetworkBuilder {
   std::vector<double> link_weights_;
 };
 
-/// Immutable typed directed graph with per-direction CSR adjacency.
+/// Typed directed graph with per-direction CSR adjacency. Const after
+/// Build except for in-place growth (GrowDataset, hin/delta.h), which
+/// keeps every id and invalidates the spans, views and pointers handed
+/// out before it — an Engine or Server created on the network must be
+/// recreated, exactly as if a new network had been move-assigned over it.
 class Network {
  public:
   Network() = default;
@@ -90,7 +98,8 @@ class Network {
   const std::vector<NodeId>& NodesOfType(ObjectTypeId t) const;
 
   /// Out-links of v (v is the source), grouped contiguously; the span is
-  /// sorted by link type then neighbor.
+  /// sorted by link type, then neighbor, then weight — a strict total
+  /// order, so the layout does not depend on insertion order.
   std::span<const LinkEntry> OutLinks(NodeId v) const {
     GENCLUS_DCHECK(v < node_types_.size());
     return {out_entries_.data() + out_offsets_[v],
@@ -108,8 +117,8 @@ class Network {
   size_t InDegree(NodeId v) const { return InLinks(v).size(); }
 
   /// Out-adjacency of one relation as a CSR matrix over all nodes. The
-  /// arrays are materialized at Build time, so the view is valid for the
-  /// network's lifetime and costs nothing to obtain.
+  /// arrays are materialized at Build time, so the view is valid until the
+  /// network grows and costs nothing to obtain.
   RelationCsr OutCsr(LinkTypeId r) const {
     GENCLUS_DCHECK(r < typed_out_offsets_.size());
     return {typed_out_offsets_[r], typed_out_neighbors_[r],
@@ -121,7 +130,7 @@ class Network {
     return link_counts_by_type_;
   }
 
-  /// Sum of link weights of each relation.
+  /// Sum of link weights of each relation, added in adjacency order.
   const std::vector<double>& LinkWeightsByType() const {
     return link_weights_by_type_;
   }
@@ -131,15 +140,33 @@ class Network {
 
  private:
   friend class NetworkBuilder;
+  friend Status GrowDataset(Dataset* dataset,
+                            std::span<const NetworkDelta> deltas);
+  friend Result<Dataset> ApplyNetworkDelta(const Dataset& base,
+                                           const NetworkDelta& delta);
+
+  // A copy with capacity for `extra_nodes` more nodes and `extra_links`
+  // more links (in each relation), so growing it moves no array to a new
+  // allocation: ApplyNetworkDelta then allocates each array once, as a
+  // rebuild would, instead of a copy plus a larger reallocation.
+  Network CopyWithRoom(size_t extra_nodes, size_t extra_links) const;
+
+  // Appends the nodes and links of `deltas`, already validated against
+  // this network, in place: each link is merged into its already-sorted
+  // rows, so the result equals a Build of the grown link set.
+  void Grow(std::span<const NetworkDelta> deltas);
+
+  // Recomputes link_weights_by_type_ from the typed out-adjacency.
+  void SumLinkWeights();
 
   Schema schema_;
   std::vector<ObjectTypeId> node_types_;
   std::vector<std::string> node_names_;
   std::vector<std::vector<NodeId>> nodes_by_type_;
 
-  std::vector<size_t> out_offsets_;  // size num_nodes + 1
+  std::vector<size_t> out_offsets_ = {0};  // size num_nodes + 1
   std::vector<LinkEntry> out_entries_;
-  std::vector<size_t> in_offsets_;
+  std::vector<size_t> in_offsets_ = {0};
   std::vector<LinkEntry> in_entries_;
 
   // Per-relation SoA out-adjacency (indexed by link type), mirroring

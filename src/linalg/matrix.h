@@ -52,6 +52,12 @@ class Matrix {
     return data_.data() + r * cols_;
   }
 
+  /// Appends `count` rows set to `fill`; existing rows keep their values.
+  void AppendRows(size_t count, double fill) {
+    rows_ += count;
+    data_.resize(rows_ * cols_, fill);
+  }
+
   /// Copies row r into a Vector.
   Vector RowVector(size_t r) const;
 

@@ -1,8 +1,104 @@
 #include "tests/core/test_fixtures.h"
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <span>
+
 #include "common/check.h"
 
 namespace genclus::testing {
+
+namespace {
+
+template <typename T>
+void ExpectSameValues(std::span<const T> a, std::span<const T> b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << what << " [" << i << "]";
+  }
+}
+
+void ExpectSameBits(std::span<const double> a, std::span<const double> b,
+                    const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << what << " [" << i << "]";
+  }
+}
+
+void ExpectSameLinks(std::span<const LinkEntry> a, std::span<const LinkEntry> b,
+                     const char* what, NodeId v) {
+  ASSERT_EQ(a.size(), b.size()) << what << " of node " << v;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].neighbor, b[i].neighbor) << what << " of node " << v;
+    EXPECT_EQ(a[i].type, b[i].type) << what << " of node " << v;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i].weight),
+              std::bit_cast<uint64_t>(b[i].weight))
+        << what << " of node " << v;
+  }
+}
+
+}  // namespace
+
+void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b) {
+  const Network& na = a.network;
+  const Network& nb = b.network;
+  ASSERT_EQ(na.num_nodes(), nb.num_nodes());
+  ASSERT_EQ(na.num_links(), nb.num_links());
+  const Schema& schema = na.schema();
+  ASSERT_EQ(schema.num_object_types(), nb.schema().num_object_types());
+  ASSERT_EQ(schema.num_link_types(), nb.schema().num_link_types());
+  for (NodeId v = 0; v < na.num_nodes(); ++v) {
+    EXPECT_EQ(na.node_type(v), nb.node_type(v)) << "node " << v;
+    EXPECT_EQ(na.node_name(v), nb.node_name(v)) << "node " << v;
+    ExpectSameLinks(na.OutLinks(v), nb.OutLinks(v), "out-links", v);
+    ExpectSameLinks(na.InLinks(v), nb.InLinks(v), "in-links", v);
+  }
+  for (ObjectTypeId t = 0; t < schema.num_object_types(); ++t) {
+    EXPECT_EQ(na.NodesOfType(t), nb.NodesOfType(t)) << "object type " << t;
+  }
+  for (LinkTypeId r = 0; r < schema.num_link_types(); ++r) {
+    const RelationCsr ca = na.OutCsr(r);
+    const RelationCsr cb = nb.OutCsr(r);
+    ExpectSameValues(ca.row_offsets, cb.row_offsets, "OutCsr row offsets");
+    ExpectSameValues(ca.neighbors, cb.neighbors, "OutCsr neighbors");
+    ExpectSameBits(ca.weights, cb.weights, "OutCsr weights");
+  }
+  EXPECT_EQ(na.LinkCountsByType(), nb.LinkCountsByType());
+  ExpectSameBits(na.LinkWeightsByType(), nb.LinkWeightsByType(),
+                 "link weight sums");
+
+  ASSERT_EQ(a.attributes.size(), b.attributes.size());
+  for (size_t x = 0; x < a.attributes.size(); ++x) {
+    const Attribute& xa = a.attributes[x];
+    const Attribute& xb = b.attributes[x];
+    ASSERT_EQ(xa.kind(), xb.kind()) << "attribute " << x;
+    EXPECT_EQ(xa.name(), xb.name());
+    ASSERT_EQ(xa.num_nodes(), xb.num_nodes()) << "attribute " << x;
+    if (xa.kind() == AttributeKind::kCategorical) {
+      EXPECT_EQ(xa.vocab_size(), xb.vocab_size());
+      EXPECT_EQ(xa.term_names(), xb.term_names());
+    }
+    for (NodeId v = 0; v < xa.num_nodes(); ++v) {
+      if (xa.kind() == AttributeKind::kCategorical) {
+        const auto& ta = xa.TermCounts(v);
+        const auto& tb = xb.TermCounts(v);
+        ASSERT_EQ(ta.size(), tb.size()) << "attribute " << x << " node " << v;
+        for (size_t i = 0; i < ta.size(); ++i) {
+          EXPECT_EQ(ta[i].term, tb[i].term);
+          EXPECT_EQ(std::bit_cast<uint64_t>(ta[i].count),
+                    std::bit_cast<uint64_t>(tb[i].count));
+        }
+      } else {
+        ExpectSameBits(xa.Values(v), xb.Values(v), "attribute values");
+      }
+    }
+  }
+  EXPECT_EQ(a.labels.raw(), b.labels.raw());
+}
 
 GenClusConfig PlantedFixtureConfig(uint64_t seed) {
   GenClusConfig config;

@@ -40,6 +40,12 @@ TwoCommunityNetwork MakeTwoCommunityNetwork(size_t docs_per_side,
 /// only needs one update.
 GenClusConfig PlantedFixtureConfig(uint64_t seed);
 
+/// Expects `a` and `b` to be identical field by field, doubles compared by
+/// bit pattern: node types, names and per-type lists; both CSR directions;
+/// every relation's OutCsr; per-relation link counts and weight sums;
+/// attribute metadata and observation bags (order included); labels.
+void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b);
+
 /// A membership matrix where each node's row concentrates (1 - eps) on
 /// `labels[v]`.
 Matrix ConcentratedTheta(const std::vector<uint32_t>& labels,

@@ -11,7 +11,8 @@
 //     rows are bitwise untouched, and the result is independent of how
 //     the same growth is split into delta batches;
 //   * both paths validate their inputs (shrunk dataset, node-count
-//     mismatch).
+//     mismatch), and ApplyUpdates is atomic: a bad delta anywhere in the
+//     list leaves dataset and model bitwise unchanged.
 #include "core/update.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 namespace genclus {
 namespace {
 
+using testing::ExpectDatasetsIdentical;
 using testing::MakeTwoCommunityNetwork;
 
 class UpdateTest : public ::testing::Test {
@@ -227,6 +229,37 @@ TEST_F(UpdateTest, ApplyUpdatesValidatesInputs) {
   Model stale = *base_model_;
   EXPECT_EQ(ApplyUpdates(&grown, &stale, {&delta, 1}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(UpdateTest, ApplyUpdatesIsAtomic) {
+  // Three deltas; the second links a doc to a doc through doc_tag, whose
+  // target must be a tag. Neither the first delta nor anything else may
+  // land: dataset and model stay bitwise as they were.
+  const NodeId fresh = static_cast<NodeId>(base_->network.num_nodes());
+  const NodeId doc0 = full_->docs[0];
+  const NodeId doc1 = full_->docs[1];
+  std::vector<NetworkDelta> deltas(3);
+  deltas[0].nodes.push_back({full_->doc_type, "late_doc"});
+  deltas[0].links.push_back({fresh, doc0, full_->doc_doc, 1.0});
+  deltas[0].links.push_back({doc0, fresh, full_->doc_doc, 1.0});
+  deltas[1].links.push_back({fresh, doc1, full_->doc_tag, 1.0});
+  deltas[2].observations.push_back({/*attribute=*/0, doc1, /*term=*/0,
+                                    /*count=*/2.0});
+
+  Dataset dataset = *base_;
+  Model model = *base_model_;
+  auto bad = ApplyUpdates(&dataset, &model, deltas);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  ExpectDatasetsIdentical(*base_, dataset);
+  EXPECT_EQ(model.num_nodes(), base_model_->num_nodes());
+  EXPECT_EQ(model.Fingerprint(), base_model_->Fingerprint());
+
+  // The same list with the link fixed applies.
+  deltas[1].links[0].type = full_->doc_doc;
+  auto good = ApplyUpdates(&dataset, &model, deltas);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().deltas_applied, 3u);
+  EXPECT_EQ(model.num_nodes(), base_->network.num_nodes() + 1);
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
+#include <vector>
+
+#include "common/random.h"
 
 namespace genclus {
 namespace {
@@ -294,6 +299,81 @@ TEST(NetworkBuilderTest, OutCsrMatchesOutLinks) {
       total += want.size();
     }
     EXPECT_EQ(total, csr.nnz());
+  }
+}
+
+TEST(NetworkBuilderTest, LayoutIsIndependentOfInsertionOrder) {
+  // Rows are sorted by (type, neighbor, weight), a strict total order, so
+  // parallel links with different weights land in one canonical order and
+  // the same link set inserted in any order builds byte-identical
+  // adjacency, typed CSR and weight sums. Rows hold more than 16 entries,
+  // where std::sort stops behaving like a stable insertion sort.
+  Schema schema;
+  ObjectTypeId doc = schema.AddObjectType("doc").value();
+  LinkTypeId r0 = schema.AddLinkType("r0", doc, doc).value();
+  LinkTypeId r1 = schema.AddLinkType("r1", doc, doc).value();
+  struct Link {
+    NodeId src, dst;
+    LinkTypeId type;
+    double weight;
+  };
+  std::vector<Link> links;
+  Rng rng(11);
+  for (int i = 0; i < 120; ++i) {
+    const NodeId src = static_cast<NodeId>(rng.UniformIndex(3));
+    const NodeId dst = static_cast<NodeId>(rng.UniformIndex(3));
+    const LinkTypeId type = rng.Uniform() < 0.5 ? r0 : r1;
+    // Few distinct weights, so exact duplicates occur as well.
+    links.push_back({src, dst, type, 0.1 * (1 + rng.UniformIndex(5))});
+  }
+  auto build = [&](const std::vector<size_t>& order) {
+    NetworkBuilder builder(schema);
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(builder.AddNode(doc).ok());
+    for (size_t i : order) {
+      const Link& l = links[i];
+      EXPECT_TRUE(builder.AddLink(l.src, l.dst, l.type, l.weight).ok());
+    }
+    return std::move(builder).Build().value();
+  };
+  auto same_entries = [](std::span<const LinkEntry> a,
+                         std::span<const LinkEntry> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const LinkEntry& x, const LinkEntry& y) {
+                        return x.neighbor == y.neighbor && x.type == y.type &&
+                               std::bit_cast<uint64_t>(x.weight) ==
+                                   std::bit_cast<uint64_t>(y.weight);
+                      });
+  };
+  auto bits = [](std::span<const double> values) {
+    std::vector<uint64_t> out;
+    for (double v : values) out.push_back(std::bit_cast<uint64_t>(v));
+    return out;
+  };
+
+  std::vector<size_t> order(links.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const Network reference = build(order);
+  for (int trial = 0; trial < 10; ++trial) {
+    rng.Shuffle(&order);
+    const Network net = build(order);
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      EXPECT_TRUE(same_entries(net.OutLinks(v), reference.OutLinks(v)))
+          << "out-links of " << v << ", trial " << trial;
+      EXPECT_TRUE(same_entries(net.InLinks(v), reference.InLinks(v)))
+          << "in-links of " << v << ", trial " << trial;
+    }
+    for (LinkTypeId r : {r0, r1}) {
+      const RelationCsr got = net.OutCsr(r);
+      const RelationCsr want = reference.OutCsr(r);
+      EXPECT_TRUE(std::equal(got.row_offsets.begin(), got.row_offsets.end(),
+                             want.row_offsets.begin(),
+                             want.row_offsets.end()));
+      EXPECT_TRUE(std::equal(got.neighbors.begin(), got.neighbors.end(),
+                             want.neighbors.begin(), want.neighbors.end()));
+      EXPECT_EQ(bits(got.weights), bits(want.weights));
+    }
+    EXPECT_EQ(bits(net.LinkWeightsByType()),
+              bits(reference.LinkWeightsByType()));
   }
 }
 
