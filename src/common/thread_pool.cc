@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -90,42 +91,70 @@ void ThreadPool::Wait() {
   if (error) std::rethrow_exception(error);
 }
 
+bool ThreadPool::RunsInline(size_t n) const {
+  const size_t workers = std::min(threads_.size(), n);
+  return workers <= 1 || n < 2 * workers;
+}
+
 void ThreadPool::ParallelFor(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
   if (n == 0) return;
-  const size_t shards = std::min(threads_.size(), n);
   // Small ranges or a single worker: run inline to skip dispatch overhead.
-  if (shards <= 1 || n < 2 * shards) {
+  if (RunsInline(n)) {
     fn(0, 0, n);
     return;
   }
-  // Per-call completion state, so concurrent ParallelFor batches on one
-  // pool never cross their completion or error tracking (each caller
-  // waits for exactly its own shards). Shard tasks catch internally and
-  // report here, not into the pool-level first_error_.
+  const size_t chunk = (n + threads_.size() - 1) / threads_.size();
+  RunTasks((n + chunk - 1) / chunk, [&fn, n, chunk](size_t s) {
+    const size_t begin = s * chunk;
+    fn(s, begin, std::min(n, begin + chunk));
+  });
+}
+
+void ThreadPool::ParallelForEach(size_t n,
+                                 const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
+  if (RunsInline(n)) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // One claim per index keeps a straggler's cost to the index it holds;
+  // a throwing index parks the cursor past the end so the other tasks
+  // stop claiming.
+  std::atomic<size_t> next{0};
+  RunTasks(std::min(threads_.size(), n), [&fn, &next, n](size_t /*task*/) {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        next.store(n);
+        throw;
+      }
+    }
+  });
+}
+
+void ThreadPool::RunTasks(size_t num_tasks,
+                          const std::function<void(size_t)>& fn) {
+  // Per-call completion state, so concurrent batches on one pool never
+  // cross their completion or error tracking (each caller waits for
+  // exactly its own tasks). Tasks catch internally and report here, not
+  // into the pool-level first_error_.
   struct BatchState {
     Mutex mutex;
     CondVar done;
     size_t remaining GENCLUS_GUARDED_BY(mutex) = 0;
     std::exception_ptr first_error GENCLUS_GUARDED_BY(mutex);
   } state;
-  const size_t chunk = (n + shards - 1) / shards;
-  size_t submitted = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    if (s * chunk >= n) break;
-    ++submitted;
-  }
   {
     MutexLock lock(state.mutex);
-    state.remaining = submitted;
+    state.remaining = num_tasks;
   }
-  for (size_t s = 0; s < submitted; ++s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    Submit([&fn, &state, s, begin, end] {
+  for (size_t task = 0; task < num_tasks; ++task) {
+    Submit([&fn, &state, task] {
       std::exception_ptr error;
       try {
-        fn(s, begin, end);
+        fn(task);
       } catch (...) {
         error = std::current_exception();
       }

@@ -1,7 +1,8 @@
-// Fixed-size worker pool with a blocking ParallelFor. Used by the EM
-// cluster-optimization step (paper §5.4 reports a 3.19x speedup with four
-// threads for exactly this loop structure) and by the fused strength
-// learner through ParallelForReduce.
+// Fixed-size worker pool with a blocking ParallelFor, and the fixed-grain
+// block loops built on it. Used by the EM cluster-optimization step (paper
+// §5.4 reports a 3.19x speedup with four threads for exactly this loop
+// structure), by g1 scoring, and by the strength learner's statistics
+// build and fused ParallelForReduce.
 #pragma once
 
 #include <algorithm>
@@ -18,24 +19,31 @@
 
 namespace genclus {
 
+/// Cache-line size assumed by per-block state that workers write
+/// concurrently: such state is padded or aligned to whole lines so two
+/// blocks never share one (see ForEachFixedGrainBlock).
+inline constexpr size_t kCacheLineBytes = 64;
+
 /// A fixed set of worker threads executing submitted closures.
 ///
 /// ParallelFor partitions an index range into contiguous shards, one per
 /// worker, and blocks until all shards complete. Shards receive
 /// (shard_index, begin, end) so callers can keep per-shard accumulators
-/// without atomics.
+/// without atomics. ParallelForEach instead hands out single indices from
+/// a shared cursor, so a slow or descheduled worker holds back only the
+/// index it is running.
 ///
 /// Exception safety: a task that throws does not kill its worker thread or
 /// leak the in-flight count. A Submit()ted task's first exception is
-/// captured and rethrown from the next Wait(); a ParallelFor shard's first
-/// exception is rethrown from that ParallelFor call itself. The pool stays
-/// usable after a rethrow.
+/// captured and rethrown from the next Wait(); a ParallelFor shard's (or
+/// ParallelForEach index's) first exception is rethrown from that call
+/// itself. The pool stays usable after a rethrow.
 ///
-/// Concurrency: ParallelFor tracks completion per call, so multiple
-/// threads may run ParallelFor batches on one pool concurrently (the
+/// Concurrency: ParallelFor and ParallelForEach track completion per call,
+/// so multiple threads may run batches on one pool concurrently (the
 /// serving tier's worker sessions do) — each call blocks on exactly its
-/// own shards and sees exactly its own errors. Calling ParallelFor from
-/// inside a pool task still deadlocks; fan out from external threads only.
+/// own tasks and sees exactly its own errors. Calling either from inside a
+/// pool task still deadlocks; fan out from external threads only.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers. `num_threads == 0` means "hardware
@@ -57,6 +65,15 @@ class ThreadPool {
                    const std::function<void(size_t, size_t, size_t)>& fn)
       GENCLUS_EXCLUDES(mutex_);
 
+  /// Runs fn(i) exactly once for every i in [0, n). min(num_threads, n)
+  /// pool tasks claim indices from one shared atomic cursor, so indices run
+  /// in no fixed order and on any worker. Runs inline (in ascending order)
+  /// under the same small-range rule as ParallelFor. After an index throws,
+  /// the unclaimed indices are dropped; the first exception is rethrown
+  /// once every task has finished.
+  void ParallelForEach(size_t n, const std::function<void(size_t)>& fn)
+      GENCLUS_EXCLUDES(mutex_);
+
   /// Submits one task for asynchronous execution.
   void Submit(std::function<void()> task) GENCLUS_EXCLUDES(mutex_);
 
@@ -68,6 +85,15 @@ class ThreadPool {
 
  private:
   void WorkerLoop() GENCLUS_EXCLUDES(mutex_);
+
+  // True when a range of n indices should run on the caller: a single
+  // worker, or fewer than two indices per worker.
+  bool RunsInline(size_t n) const;
+
+  // Submits fn(task) for task in [0, num_tasks) and blocks until all have
+  // finished; rethrows the first exception any of them raised.
+  void RunTasks(size_t num_tasks, const std::function<void(size_t)>& fn)
+      GENCLUS_EXCLUDES(mutex_);
 
   // threads_ is written only during construction (before any worker can
   // observe it) and joined in the destructor; it needs no guard, which is
@@ -87,28 +113,34 @@ class ThreadPool {
 /// partition is a function of n and grain only — never of the thread
 /// count — so callers that keep per-block state (ParallelForReduce's
 /// partials, the EM sweep's workspace accumulators) get thread-invariant
-/// block boundaries for free. Blocks are distributed over `pool`, or run
-/// inline when the pool is null or single-threaded. Exceptions from
-/// `body` propagate via ThreadPool::Wait's rethrow (or directly on the
-/// sequential path).
+/// block boundaries for free.
+///
+/// Contract: workers claim blocks one at a time from a shared cursor
+/// (ThreadPool::ParallelForEach), so blocks run in no fixed order and any
+/// block may run on any worker — neighbouring blocks usually run on
+/// different cores at the same time. A body may therefore write only its
+/// own block's state, and per-block state written while a block runs must
+/// not share a cache line with another block's (pad it to
+/// kCacheLineBytes, or accumulate in locals and store once at block end).
+/// Results must come from block-order merges, never from the order in
+/// which blocks finished.
+///
+/// Blocks run inline in ascending order when the pool is null, has a
+/// single thread, or there are fewer than two blocks per thread.
+/// Exceptions from `body` propagate to the caller.
 template <typename Body>
 void ForEachFixedGrainBlock(ThreadPool* pool, size_t n, size_t grain,
                             const Body& body) {
   if (n == 0) return;
   const size_t g = std::max<size_t>(1, grain);
   const size_t num_blocks = (n + g - 1) / g;
-  const auto run_blocks = [&](size_t block_begin, size_t block_end) {
-    for (size_t b = block_begin; b < block_end; ++b) {
-      body(b, b * g, std::min(n, (b + 1) * g));
-    }
+  const auto run_block = [&](size_t b) {
+    body(b, b * g, std::min(n, (b + 1) * g));
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(num_blocks,
-                      [&](size_t /*shard*/, size_t begin, size_t end) {
-                        run_blocks(begin, end);
-                      });
+  if (pool != nullptr) {
+    pool->ParallelForEach(num_blocks, run_block);
   } else {
-    run_blocks(0, num_blocks);
+    for (size_t b = 0; b < num_blocks; ++b) run_block(b);
   }
 }
 
@@ -120,7 +152,8 @@ void ForEachFixedGrainBlock(ThreadPool* pool, size_t n, size_t grain,
 /// order (`merge(into, from)`). Because both the block boundaries and the
 /// merge order are independent of how blocks were scheduled, the reduced
 /// result is bitwise identical for any thread count, including
-/// `pool == nullptr` (fully sequential).
+/// `pool == nullptr` (fully sequential). Each partial sits on its own
+/// cache lines, so blocks running side by side never share one.
 ///
 /// `make()` must produce an identity partial (merging it first is a
 /// no-op).
@@ -132,16 +165,19 @@ State ParallelForReduce(ThreadPool* pool, size_t n, size_t grain,
   if (n == 0) return result;
   const size_t g = std::max<size_t>(1, grain);
   const size_t num_blocks = (n + g - 1) / g;
-  std::vector<State> partials;
+  struct alignas(kCacheLineBytes) Partial {
+    State state;
+  };
+  std::vector<Partial> partials;
   partials.reserve(num_blocks);
-  for (size_t b = 0; b < num_blocks; ++b) partials.push_back(make());
+  for (size_t b = 0; b < num_blocks; ++b) partials.push_back({make()});
 
   ForEachFixedGrainBlock(pool, n, grain,
                          [&](size_t b, size_t begin, size_t end) {
-                           body(partials[b], begin, end);
+                           body(partials[b].state, begin, end);
                          });
   for (size_t b = 0; b < num_blocks; ++b) {
-    merge(result, std::move(partials[b]));
+    merge(result, std::move(partials[b].state));
   }
   return result;
 }

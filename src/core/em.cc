@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -20,6 +21,10 @@ namespace {
 // invariant to how many workers execute them (same contract as the
 // strength learner's ParallelForReduce grain).
 constexpr size_t kEmBlockGrain = 128;
+
+// Count elements per task of the categorical merge: 1 KiB of sums per task,
+// folded on the stack and stored once.
+constexpr size_t kMergeGrain = 128;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
@@ -53,11 +58,8 @@ void ZeroAccumulator(EmComponentAccumulator* acc) {
   std::fill(acc->square_sum.begin(), acc->square_sum.end(), 0.0);
 }
 
-void MergeAccumulator(EmComponentAccumulator* into,
-                      const EmComponentAccumulator& from) {
-  for (size_t i = 0; i < into->counts.size(); ++i) {
-    into->counts[i] += from.counts[i];
-  }
+void MergeMoments(EmComponentAccumulator* into,
+                  const EmComponentAccumulator& from) {
   for (size_t i = 0; i < into->weight_sum.size(); ++i) {
     into->weight_sum[i] += from.weight_sum[i];
     into->value_sum[i] += from.value_sum[i];
@@ -89,7 +91,11 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   new_theta_ = Matrix(num_nodes, num_clusters);
   block_delta_.assign(num_blocks, 0.0);
   block_objective_.assign(num_blocks, 0.0);
-  scratch_.assign(num_blocks * 4 * num_clusters, 0.0);
+  constexpr size_t kLineDoubles = kCacheLineBytes / sizeof(double);
+  const size_t per_block = (4 + 3 * attributes.size()) * num_clusters;
+  scratch_stride_ =
+      (per_block + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+  scratch_.assign(num_blocks * scratch_stride_ + kLineDoubles, 0.0);
 
   block_acc_.assign(num_blocks, {});
   for (auto& block : block_acc_) {
@@ -123,6 +129,14 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   last_gamma_.clear();
   last_sweep_skipped_ = 0;
   merged_acc_ = block_acc_[0];
+}
+
+double* EmWorkspace::BlockScratch(size_t block) {
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(scratch_.data()) % kCacheLineBytes;
+  const size_t skip =
+      misalign == 0 ? 0 : (kCacheLineBytes - misalign) / sizeof(double);
+  return scratch_.data() + skip + block * scratch_stride_;
 }
 
 void EmWorkspace::PrepareSharding(const Network& network,
@@ -284,11 +298,16 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
       return;
     }
     std::vector<EmComponentAccumulator>& acc = ws->block_acc_[b];
-    for (auto& a : acc) ZeroAccumulator(&a);
-    double* resp = ws->scratch_.data() + b * 4 * num_clusters;
+    double* resp = ws->BlockScratch(b);
     double* log_e = resp + num_clusters;  // E-step clamp (1e-300)
     double* log_s = log_e + num_clusters;  // structural clamp (theta floor)
     double* base = log_s + num_clusters;  // log theta_vk + log_norm_k
+    // Numerical moment sums, 3 * K per attribute, on the block's own lines.
+    double* moments = base + num_clusters;
+    std::fill(moments, moments + 3 * num_clusters * attributes_.size(), 0.0);
+    for (size_t t = 0; t < attributes_.size(); ++t) {
+      std::fill(acc[t].counts.begin(), acc[t].counts.end(), 0.0);
+    }
 
     // Link part of Eq. 10/11/12 as a typed-CSR SpMM: per relation r,
     // new_theta rows of this block += gamma_r * (W_r Theta), one column
@@ -367,7 +386,9 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
           const double* mean = table.means().data();
           const double* neg_half_inv_var = table.neg_half_inv_vars().data();
           const double* log_norm = table.log_norms().data();
-          EmComponentAccumulator& a = acc[t];
+          double* weight_sum = moments + t * 3 * num_clusters;
+          double* value_sum = weight_sum + num_clusters;
+          double* square_sum = value_sum + num_clusters;
           // log theta_vk + log_norm_k is observation-invariant: hoist it so
           // the per-observation logit is two fused ops per cluster.
           for (size_t k = 0; k < num_clusters; ++k) {
@@ -400,9 +421,9 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
             for (size_t k = 0; k < num_clusters; ++k) {
               const double r = resp[k] * inv_total;
               out[k] += r;
-              a.weight_sum[k] += r;
-              a.value_sum[k] += r * x;
-              a.square_sum[k] += r * x * x;
+              weight_sum[k] += r;
+              value_sum[k] += r * x;
+              square_sum[k] += r * x * x;
             }
           }
         }
@@ -412,6 +433,15 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
       for (size_t k = 0; k < num_clusters; ++k) {
         local_delta = std::max(local_delta, std::fabs(out[k] - theta_v[k]));
       }
+    }
+    for (size_t t = 0; t < attributes_.size(); ++t) {
+      if (attributes_[t]->kind() != AttributeKind::kNumerical) continue;
+      const double* sums = moments + t * 3 * num_clusters;
+      std::copy(sums, sums + num_clusters, acc[t].weight_sum.begin());
+      std::copy(sums + num_clusters, sums + 2 * num_clusters,
+                acc[t].value_sum.begin());
+      std::copy(sums + 2 * num_clusters, sums + 3 * num_clusters,
+                acc[t].square_sum.begin());
     }
     ws->block_delta_[b] = local_delta;
     ws->block_objective_[b] = local_obj;
@@ -429,21 +459,8 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
     *entry_objective = obj;
   }
-  // Fold the per-block statistics in block order into the dedicated merge
-  // buffer — never into block 0's slot, whose cached statistics a skipped
-  // block 0 must be able to reuse next sweep. Seeding the buffer with a
-  // copy of block 0 keeps the addition chain bitwise identical to the old
-  // in-place merge.
-  std::vector<EmComponentAccumulator>& merged = ws->merged_acc_;
-  for (size_t t = 0; t < attributes_.size(); ++t) {
-    merged[t] = ws->block_acc_[0][t];
-  }
-  for (size_t b = 1; b < num_blocks; ++b) {
-    for (size_t t = 0; t < attributes_.size(); ++t) {
-      MergeAccumulator(&merged[t], ws->block_acc_[b][t]);
-    }
-  }
-  UpdateComponents(merged, components);
+  MergeBlockStatistics(ws);
+  UpdateComponents(ws->merged_acc_, components);
   std::swap(*theta, ws->new_theta_);
 
   size_t skipped = 0;
@@ -467,6 +484,36 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
   }
   ws->last_sweep_skipped_ = skipped;
   return delta;
+}
+
+void EmOptimizer::MergeBlockStatistics(EmWorkspace* ws) const {
+  // Fold into the dedicated merge buffer — never into block 0's slot, whose
+  // cached statistics a skipped block 0 must be able to reuse next sweep.
+  // Every element's chain starts from block 0's value and adds the other
+  // blocks in ascending order, whichever task folds it.
+  const size_t num_blocks = ws->num_blocks_;
+  for (size_t t = 0; t < attributes_.size(); ++t) {
+    EmComponentAccumulator& merged = ws->merged_acc_[t];
+    if (attributes_[t]->kind() != AttributeKind::kCategorical) {
+      merged = ws->block_acc_[0][t];
+      for (size_t b = 1; b < num_blocks; ++b) {
+        MergeMoments(&merged, ws->block_acc_[b][t]);
+      }
+      continue;
+    }
+    ForEachFixedGrainBlock(
+        pool_, merged.counts.size(), kMergeGrain,
+        [&](size_t /*task*/, size_t begin, size_t end) {
+          double sums[kMergeGrain];
+          const double* first = ws->block_acc_[0][t].counts.data();
+          std::copy(first + begin, first + end, sums);
+          for (size_t b = 1; b < num_blocks; ++b) {
+            const double* from = ws->block_acc_[b][t].counts.data() + begin;
+            for (size_t i = 0; i < end - begin; ++i) sums[i] += from[i];
+          }
+          std::copy(sums, sums + (end - begin), merged.counts.data() + begin);
+        });
+  }
 }
 
 void EmOptimizer::BuildBlockDependents(EmWorkspace* ws) const {
@@ -519,7 +566,7 @@ double EmOptimizer::FusedObjective(
 
   ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
                                                       size_t end) {
-    double* resp = ws->scratch_.data() + b * 4 * num_clusters;
+    double* resp = ws->BlockScratch(b);
     double* log_e = resp + num_clusters;
     double* log_s = log_e + num_clusters;
     double* base = log_s + num_clusters;

@@ -111,11 +111,16 @@ class EmWorkspace {
   std::vector<std::vector<EmComponentAccumulator>> block_acc_;
   std::vector<double> block_delta_;
   std::vector<double> block_objective_;
-  // Per-block scratch: 4 * K doubles each (responsibilities, log theta_v
-  // clamped for the E-step, log theta_v clamped for the structural score,
-  // and the hoisted log theta_vk + log_norm_k base of the Gaussian
-  // E-step).
-  std::vector<double> scratch_;
+  // Block b's scratch: scratch_stride_ doubles starting on a cache-line
+  // boundary, so blocks running side by side never share a line. Holds
+  // 4 * K doubles (responsibilities, log theta_v clamped for the E-step,
+  // log theta_v clamped for the structural score, and the hoisted
+  // log theta_vk + log_norm_k base of the Gaussian E-step), then 3 * K
+  // numerical moment sums (weight, value, square) per attribute, which the
+  // block stores into its accumulator once, at block end.
+  double* BlockScratch(size_t block);
+  std::vector<double> scratch_;  // one spare line to align the first block
+  size_t scratch_stride_ = 0;
   // Term-major transpose of each categorical attribute's beta (vocab x K),
   // so the per-term E-step reads K contiguous doubles.
   std::vector<Matrix> beta_transpose_;
@@ -198,6 +203,10 @@ class EmOptimizer {
   void EstimateComponents(const Matrix& theta,
                           std::vector<AttributeComponents>* components) const;
 
+  /// The pool the sweeps run on (null when single-threaded); callers
+  /// scoring the iterates (BestOfSeedsInit's G1Objective) reuse it.
+  ThreadPool* pool() const { return pool_; }
+
  private:
   // Kernel-path sweep: one EM iteration reusing `workspace`. When
   // `entry_objective` is non-null, also computes g1 at the *input* iterate
@@ -239,6 +248,11 @@ class EmOptimizer {
                     const std::vector<AttributeComponents>& components,
                     Matrix* new_theta,
                     std::vector<EmComponentAccumulator>* acc) const;
+
+  // Folds the per-block statistics into workspace->merged_acc_ in
+  // ascending block order; categorical counts are folded over element
+  // ranges on the pool.
+  void MergeBlockStatistics(EmWorkspace* workspace) const;
 
   // Writes the new component parameters from merged accumulators.
   void UpdateComponents(const std::vector<EmComponentAccumulator>& acc,

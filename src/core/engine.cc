@@ -129,8 +129,8 @@ Result<FitResult> Engine::RunOuterLoop(
     }
     report.em_blocks_skipped += record.em_blocks_skipped;
     report.em_final_block_deltas = std::move(em_stats.final_block_deltas);
-    record.em_objective =
-        G1Objective(network, attrs, model.components, model.theta, gamma);
+    record.em_objective = G1Objective(network, attrs, model.components,
+                                      model.theta, gamma, pool.get());
 
     // Step 2: optimize gamma for fixed Theta.
     double gamma_delta = 0.0;
@@ -167,8 +167,8 @@ Result<FitResult> Engine::RunOuterLoop(
     }
   }
 
-  model.objective =
-      G1Objective(network, attrs, model.components, model.theta, gamma);
+  model.objective = G1Objective(network, attrs, model.components,
+                                model.theta, gamma, pool.get());
   report.objective = model.objective;
   model.gamma = std::move(gamma);
   // Stamp the resolved shard count the fit ran with, so serving adopts
@@ -208,7 +208,7 @@ Result<FitResult> Engine::Fit(const Dataset& dataset,
 // Batch planner plus a pool of InferSessions. Sessions are created
 // lazily, one per concurrent Execute caller, and recycled through the
 // free list — each owns its own ServeWorkspace, so concurrent batches
-// execute in parallel with no global execution mutex (ParallelFor tracks
+// execute in parallel with no global execution mutex (the pool tracks
 // completion per call, so sessions may share the engine's thread pool).
 struct Engine::ServeState {
   ServeState(const Network* network, const Model* model, ThreadPool* pool,

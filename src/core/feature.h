@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "hin/network.h"
 #include "linalg/matrix.h"
 
@@ -31,10 +32,25 @@ double LinkFeature(std::span<const double> theta_i,
 double CrossEntropyScore(std::span<const double> theta_i,
                          std::span<const double> theta_j);
 
+/// log theta_ik with theta_ik floored at kDefaultThetaFloor, into
+/// `floored_logs` (size K): the per-source factor of CrossEntropyScore,
+/// for callers that score many links out of one node.
+void FlooredLogs(std::span<const double> theta_i,
+                 std::span<double> floored_logs);
+
+/// CrossEntropyScore(theta_i, theta_j) from FlooredLogs(theta_i): the same
+/// operations in the same order, so the result is bitwise equal.
+double CrossEntropyFromLogs(std::span<const double> floored_logs_i,
+                            std::span<const double> theta_j);
+
 /// Sum of f over every link of the network: the exponent of the log-linear
-/// structural model (Eq. 7) up to the partition function.
+/// structural model (Eq. 7) up to the partition function. The per-link
+/// terms are evaluated over node blocks on `pool` (null = caller thread)
+/// and summed in (node, link) order, so the result is bitwise equal to the
+/// serial sum of LinkFeature for any pool.
 double StructuralScore(const Network& network, const Matrix& theta,
-                       const std::vector<double>& gamma);
+                       const std::vector<double>& gamma,
+                       ThreadPool* pool = nullptr);
 
 /// Structural score restricted to one relation, with gamma(r) factored out:
 /// sum over links of type r of w(e) * sum_k theta_jk log theta_ik. The full

@@ -147,7 +147,7 @@ void BestOfSeedsInit(const EmOptimizer& optimizer, const Network& network,
       optimizer.Step(gamma, &cand_theta, &cand_components, &workspace);
     }
     const double obj = G1Objective(network, attributes, cand_components,
-                                   cand_theta, gamma);
+                                   cand_theta, gamma, optimizer.pool());
     if (obj > best_objective) {
       best_objective = obj;
       *theta = std::move(cand_theta);

@@ -31,6 +31,23 @@ constexpr double kEwmaAlpha = 0.25;
 // dequeue-to-execute overhead does not eat the remaining budget.
 constexpr int64_t kLingerSlackUs = 1000;
 
+// The latest instant a worker may linger while holding a request due at
+// `deadline`, pessimistically predicting `exec_us` of execution: half of
+// the time left before deadline - (exec_us + kLingerSlackUs). A fixed
+// slack alone is too thin on a loaded host, where the linger's wake-up can
+// be late by more than the slack and the shed pass then drops the very
+// request the batch lingered for; the slack that stays scales with the
+// request's own budget.
+std::chrono::steady_clock::time_point LingerCap(
+    std::chrono::steady_clock::time_point deadline, double exec_us,
+    std::chrono::steady_clock::time_point now) {
+  const auto latest =
+      deadline - std::chrono::microseconds(static_cast<int64_t>(exec_us) +
+                                           kLingerSlackUs);
+  if (latest <= now) return latest;
+  return now + (latest - now) / 2;
+}
+
 // Nearest-rank percentile, reordering `samples` in place. Successive
 // calls on the same scratch buffer are fine: nth_element needs no
 // pre-existing order.
@@ -571,14 +588,13 @@ void Server::WorkerLoop() {
   const std::chrono::microseconds linger(options_.max_wait_us);
   // A tight-deadline member caps its batch's linger: coalescing must end
   // early enough that the predicted execution (plus scheduling slack)
-  // still fits that member's remaining budget.
+  // still fits that member's remaining budget (see LingerCap).
   const auto linger_cap = [this](const Request& request) {
     if (request.deadline.is_infinite()) {
       return std::chrono::steady_clock::time_point::max();
     }
-    const auto margin = std::chrono::microseconds(
-        static_cast<int64_t>(PredictedExecMicros()) + kLingerSlackUs);
-    return request.deadline.when() - margin;
+    return LingerCap(request.deadline.when(), PredictedExecMicros(),
+                     std::chrono::steady_clock::now());
   };
   while (queue_.PopBatch(&batch, options_.max_batch, linger, linger_cap) >
          0) {

@@ -52,23 +52,27 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
     node_group_offsets_.push_back(total_groups);
   }
 
-  // Pass 2 (parallel, O(|E| K)): fill the flat arenas. Each node writes
-  // only its own group range, so shards never overlap and the result is
-  // independent of the sharding.
+  // Pass 2 (parallel, O(|E| K)): fill the flat arenas over fixed-grain
+  // blocks of stat nodes. Each node writes only its own group range, so
+  // blocks never overlap and the result is independent of the schedule.
+  // A group's sums build up in locals and are stored once: a hub's
+  // thousands of links never write a line another block may share.
   group_relation_.assign(total_groups, kInvalidLinkType);
   group_weight_.assign(total_groups, 0.0);
   group_f_coeff_.assign(total_groups, 0.0);
   group_s_.assign(total_groups * num_clusters_, 0.0);
-  const auto fill = [&](size_t begin, size_t end) {
+  const auto fill = [&](size_t /*block*/, size_t begin, size_t end) {
+    std::vector<double> log_theta_v(num_clusters_);
+    std::vector<double> s(num_clusters_);
     for (size_t i = begin; i < end; ++i) {
       const NodeId v = stat_nodes[i];
       auto links = network_->OutLinks(v);
-      std::span<const double> theta_v(theta_->Row(v), num_clusters_);
+      FlooredLogs({theta_->Row(v), num_clusters_}, log_theta_v);
       size_t g = node_group_offsets_[i];
       size_t pos = 0;
       while (pos < links.size()) {
         const LinkTypeId r = links[pos].type;
-        double* s = group_s_.data() + g * num_clusters_;
+        std::fill(s.begin(), s.end(), 0.0);
         double total_weight = 0.0;
         double f_coeff = 0.0;
         while (pos < links.size() && links[pos].type == r) {
@@ -78,10 +82,11 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
             s[k] += e.weight * theta_u[k];
           }
           total_weight += e.weight;
-          f_coeff += e.weight *
-                     CrossEntropyScore(theta_v, {theta_u, num_clusters_});
+          f_coeff += e.weight * CrossEntropyFromLogs(
+                                    log_theta_v, {theta_u, num_clusters_});
           ++pos;
         }
+        std::copy(s.begin(), s.end(), group_s_.begin() + g * num_clusters_);
         group_relation_[g] = r;
         group_weight_[g] = total_weight;
         group_f_coeff_[g] = f_coeff;
@@ -90,20 +95,18 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
       GENCLUS_DCHECK(g == node_group_offsets_[i + 1]);
     }
   };
-  if (pool_ != nullptr && pool_->num_threads() > 1) {
-    pool_->ParallelFor(stat_nodes.size(),
-                       [&](size_t /*shard*/, size_t begin, size_t end) {
-                         fill(begin, end);
-                       });
-  } else {
-    fill(0, stat_nodes.size());
-  }
+  ForEachFixedGrainBlock(pool_, stat_nodes.size(), kReduceGrain, fill);
 }
 
 void StrengthLearner::AccumulateRange(size_t begin, size_t end,
                                       const std::vector<double>& gamma,
                                       bool derivatives,
                                       Evaluation* out) const {
+  // Sums run in locals seeded from *out and are stored once at the end:
+  // the partials of neighbouring blocks may share heap lines.
+  double objective = out->objective;
+  std::vector<double> gradient = out->gradient;
+  Matrix hessian = out->hessian;
   std::vector<double> alpha(num_clusters_);
   std::vector<double> psi(num_clusters_);
   std::vector<double> psi1(num_clusters_);
@@ -116,7 +119,7 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
     std::fill(alpha.begin(), alpha.end(), 1.0);
     for (size_t g = gbegin; g < gend; ++g) {
       const double gm = gamma[group_relation_[g]];
-      out->objective += gm * group_f_coeff_[g];
+      objective += gm * group_f_coeff_[g];
       if (gm == 0.0) continue;
       const double* s = group_s_.data() + g * num_clusters_;
       for (size_t k = 0; k < num_clusters_; ++k) alpha[k] += gm * s[k];
@@ -128,7 +131,7 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
       log_gamma_sum += LogGamma(alpha[k]);
     }
     // - log Z_i = - log B(alpha_i).
-    out->objective -= log_gamma_sum - LogGamma(alpha0);
+    objective -= log_gamma_sum - LogGamma(alpha0);
 
     if (!derivatives) continue;
 
@@ -150,7 +153,7 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
         dlogb += psi[k] * s1[k];
       }
       dlogb -= psi_alpha0 * group_weight_[j1];
-      out->gradient[r1] += group_f_coeff_[j1] - dlogb;
+      gradient[r1] += group_f_coeff_[j1] - dlogb;
 
       for (size_t j2 = j1; j2 < gend; ++j2) {
         // Eq. 17 per node: -sum_k psi'(alpha_k) s1_k s2_k
@@ -162,11 +165,14 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
         }
         val += psi1_alpha0 * group_weight_[j1] * group_weight_[j2];
         const LinkTypeId r2 = group_relation_[j2];
-        out->hessian(r1, r2) += val;
-        if (r1 != r2) out->hessian(r2, r1) += val;
+        hessian(r1, r2) += val;
+        if (r1 != r2) hessian(r2, r1) += val;
       }
     }
   }
+  out->objective = objective;
+  out->gradient = std::move(gradient);
+  out->hessian = std::move(hessian);
 }
 
 StrengthLearner::Evaluation StrengthLearner::Reduce(

@@ -38,7 +38,7 @@ struct StrengthStats {
 
 /// Learns gamma for fixed Theta. Construct once per strength step (the
 /// constructor precomputes per-node sufficient statistics in O(|E| K),
-/// sharded over `pool` when given), then call Learn.
+/// over fixed-grain blocks on `pool` when given), then call Learn.
 class StrengthLearner {
  public:
   /// `pool` may be null for single-threaded execution; results are

@@ -113,6 +113,13 @@ class Network {
             in_offsets_[v + 1] - in_offsets_[v]};
   }
 
+  /// Position of v's first out-link among all out-links in node order:
+  /// OutLinks(v) covers [OutLinkOffset(v), OutLinkOffset(v) + OutDegree(v)).
+  size_t OutLinkOffset(NodeId v) const {
+    GENCLUS_DCHECK(v < node_types_.size());
+    return out_offsets_[v];
+  }
+
   size_t OutDegree(NodeId v) const { return OutLinks(v).size(); }
   size_t InDegree(NodeId v) const { return InLinks(v).size(); }
 

@@ -10,7 +10,11 @@ namespace genclus {
 
 double LogGamma(double x) {
   GENCLUS_DCHECK(x > 0.0);
-  return std::lgamma(x);
+  // lgamma_r, not std::lgamma: std::lgamma stores the sign in the global
+  // `signgam`, a data race once the strength learner's blocks run on
+  // several workers. Same value.
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
 
 double Digamma(double x) {
@@ -55,9 +59,9 @@ double LogMultivariateBeta(const std::vector<double>& alpha) {
   for (double a : alpha) {
     GENCLUS_DCHECK(a > 0.0);
     sum_alpha += a;
-    sum_lgamma += std::lgamma(a);
+    sum_lgamma += LogGamma(a);
   }
-  return sum_lgamma - std::lgamma(sum_alpha);
+  return sum_lgamma - LogGamma(sum_alpha);
 }
 
 double LogSumExp(const std::vector<double>& x) {

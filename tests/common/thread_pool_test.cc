@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -379,6 +380,108 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
     });
     EXPECT_EQ(count.load(), 100);
   }
+}
+
+TEST(FixedGrainBlockTest, EveryBlockRunsExactlyOnceUnderRandomDelays) {
+  // Blocks are claimed dynamically, so they finish in no fixed order; each
+  // must still run exactly once, over exactly its fixed range.
+  const size_t n = 997;  // last block is short
+  const size_t grain = 7;
+  const size_t num_blocks = (n + grain - 1) / grain;
+  for (size_t threads = 2; threads <= 8; ++threads) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> runs(num_blocks);
+    std::vector<std::atomic<int>> covered(n);
+    std::atomic<bool> ranges_ok{true};
+    ForEachFixedGrainBlock(&pool, n, grain,
+                           [&](size_t b, size_t begin, size_t end) {
+                             if (begin != b * grain ||
+                                 end != std::min(n, (b + 1) * grain)) {
+                               ranges_ok.store(false);
+                             }
+                             // Deterministic pseudo-random 0-199us delay.
+                             const size_t us = (b * 2654435761u) % 200;
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(us));
+                             runs[b].fetch_add(1);
+                             for (size_t i = begin; i < end; ++i) {
+                               covered[i].fetch_add(1);
+                             }
+                           });
+    EXPECT_TRUE(ranges_ok.load()) << threads << " threads";
+    for (size_t b = 0; b < num_blocks; ++b) {
+      EXPECT_EQ(runs[b].load(), 1) << threads << " threads, block " << b;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(covered[i].load(), 1) << threads << " threads, index " << i;
+    }
+  }
+}
+
+TEST(FixedGrainBlockTest, StragglerBlockDoesNotHoldBackTheRest) {
+  // Block 0 does not finish until every other block has run. Contiguous
+  // per-worker chunks would strand the rest of block 0's chunk behind it
+  // (the wait below times out); with dynamic claiming the other workers
+  // take every remaining block.
+  ThreadPool pool(4);
+  const size_t num_blocks = 64;
+  std::atomic<size_t> others_done{0};
+  bool timed_out = false;
+  ForEachFixedGrainBlock(&pool, num_blocks, 1,
+                         [&](size_t b, size_t, size_t) {
+                           if (b != 0) {
+                             others_done.fetch_add(1);
+                             return;
+                           }
+                           const auto give_up =
+                               std::chrono::steady_clock::now() +
+                               std::chrono::seconds(2);
+                           while (others_done.load() < num_blocks - 1) {
+                             if (std::chrono::steady_clock::now() > give_up) {
+                               timed_out = true;
+                               return;
+                             }
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(100));
+                           }
+                         });
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(others_done.load(), num_blocks - 1);
+}
+
+TEST(FixedGrainBlockTest, FewerThanTwoBlocksPerThreadRunOnTheCaller) {
+  // Under 2 x threads blocks the loop skips dispatch: every block runs on
+  // the calling thread, in ascending order.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const size_t num_blocks = std::max<size_t>(1, 2 * threads - 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    ForEachFixedGrainBlock(&pool, num_blocks * 10, 10,
+                           [&](size_t b, size_t, size_t) {
+                             EXPECT_EQ(std::this_thread::get_id(), caller);
+                             order.push_back(b);
+                           });
+    ASSERT_EQ(order.size(), num_blocks) << threads << " threads";
+    for (size_t b = 0; b < num_blocks; ++b) EXPECT_EQ(order[b], b);
+  }
+}
+
+TEST(FixedGrainBlockTest, ThrowingBlockPropagatesAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  EXPECT_THROW(ForEachFixedGrainBlock(&pool, 1000, 10,
+                                      [](size_t b, size_t, size_t) {
+                                        if (b == 37) {
+                                          throw std::runtime_error("block");
+                                        }
+                                      }),
+               std::runtime_error);
+  std::atomic<size_t> covered{0};
+  ForEachFixedGrainBlock(&pool, 1000, 10, [&](size_t, size_t begin,
+                                              size_t end) {
+    covered.fetch_add(end - begin);
+  });
+  EXPECT_EQ(covered.load(), 1000u);
 }
 
 #if defined(GENCLUS_FAILPOINTS)

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/feature.h"
+#include "prob/simplex.h"
+#include "prob/special_functions.h"
 #include "tests/core/test_fixtures.h"
 
 namespace genclus {
@@ -99,6 +106,169 @@ TEST(ObjectiveTest, G1IsStructurePlusAttributes) {
               StructuralScore(net, theta, gamma) +
                   TotalAttributeLogLikelihood(attrs, comps, theta),
               1e-9);
+}
+
+// A network with every input the g1 terms special-case: isolated nodes,
+// nodes without observations, parallel links, theta entries of exactly 0
+// and below kDefaultThetaFloor, and beta entries of 0 (so some categorical
+// observations have zero mass). Large enough for 8 workers to each get
+// more than two 128-node scoring blocks.
+struct G1Edges {
+  Dataset dataset;
+  std::vector<AttributeComponents> components;
+  Matrix theta;
+  std::vector<double> gamma;
+};
+
+G1Edges MakeG1EdgeCases() {
+  constexpr size_t kNodes = 2600;
+  constexpr size_t kClusters = 3;
+  constexpr size_t kVocab = 6;
+  Rng rng(2024);
+  Schema schema;
+  const ObjectTypeId type = schema.AddObjectType("node").value();
+  const LinkTypeId cites = schema.AddLinkType("cites", type, type).value();
+  const LinkTypeId likes = schema.AddLinkType("likes", type, type).value();
+  NetworkBuilder builder(schema);
+  for (size_t v = 0; v < kNodes; ++v) (void)builder.AddNode(type).value();
+  const auto isolated = [](size_t v) { return v % 11 == 0; };
+  for (size_t v = 0; v < kNodes; ++v) {
+    if (isolated(v)) continue;
+    const size_t degree = rng.UniformIndex(6);
+    for (size_t d = 0; d < degree; ++d) {
+      size_t u = rng.UniformIndex(kNodes);
+      if (isolated(u)) u = (u + 1) % kNodes;
+      const LinkTypeId r = rng.UniformIndex(2) == 0 ? cites : likes;
+      const double w = 0.5 + rng.Uniform();
+      EXPECT_TRUE(builder.AddLink(static_cast<NodeId>(v),
+                                  static_cast<NodeId>(u), r, w)
+                      .ok());
+      if (d == 0 && v % 3 == 0) {
+        // Parallel links: the same pair again, same and new weight.
+        EXPECT_TRUE(builder.AddLink(static_cast<NodeId>(v),
+                                    static_cast<NodeId>(u), r, w)
+                        .ok());
+        EXPECT_TRUE(builder.AddLink(static_cast<NodeId>(v),
+                                    static_cast<NodeId>(u), r, 2.0 * w)
+                        .ok());
+      }
+    }
+  }
+  G1Edges out;
+  out.dataset.network = std::move(builder).Build().value();
+
+  Attribute text = Attribute::Categorical("text", kVocab, kNodes);
+  Attribute reading = Attribute::Numerical("reading", kNodes);
+  for (size_t v = 0; v < kNodes; ++v) {
+    const NodeId node = static_cast<NodeId>(v);
+    if (v % 2 == 0) {
+      for (size_t d = rng.UniformIndex(4); d > 0; --d) {
+        EXPECT_TRUE(text.AddTermCount(
+                            node, static_cast<uint32_t>(rng.UniformIndex(kVocab)),
+                            1.0 + static_cast<double>(rng.UniformIndex(3)))
+                        .ok());
+      }
+    }
+    if (v % 3 != 1) {
+      for (size_t d = rng.UniformIndex(4); d > 0; --d) {
+        EXPECT_TRUE(reading.AddValue(node, rng.Gaussian(0.0, 3.0)).ok());
+      }
+    }
+  }
+  out.dataset.attributes.push_back(std::move(text));
+  out.dataset.attributes.push_back(std::move(reading));
+
+  auto beta = AttributeComponents::CategoricalUniform(kClusters, kVocab);
+  for (size_t k = 0; k < kClusters; ++k) {
+    const std::vector<double> row = rng.SimplexUniform(kVocab);
+    for (size_t l = 0; l < kVocab; ++l) {
+      // Term l has zero mass in every cluster but one of its own.
+      (*beta.mutable_beta())(k, l) = l % kClusters == k || l < 3 ? row[l] : 0.0;
+    }
+  }
+  out.components.push_back(std::move(beta));
+  out.components.push_back(AttributeComponents::Numerical(
+      {GaussianDistribution(-2.0, 0.5), GaussianDistribution(0.0, 1.0),
+       GaussianDistribution(3.0, 4.0)}));
+
+  out.theta = Matrix(kNodes, kClusters);
+  for (size_t v = 0; v < kNodes; ++v) {
+    std::vector<double> row = rng.SimplexUniform(kClusters);
+    if (v % 5 == 0) row[v % kClusters] = 0.0;
+    if (v % 7 == 0) row[(v + 1) % kClusters] = 0.1 * kDefaultThetaFloor;
+    if (v % 13 == 0) {
+      row.assign(kClusters, 0.0);
+      row[v % kClusters] = 1.0;
+    }
+    out.theta.SetRow(v, row);
+  }
+  out.gamma = {0.7, 1.9};
+  return out;
+}
+
+// g1 as the plain serial definition: LinkFeature per link in (node, link)
+// order, then per attribute the mixture log-likelihood of each observation
+// in (node, observation) order.
+double ReferenceG1(const G1Edges& in) {
+  const Network& net = in.dataset.network;
+  const Matrix& theta = in.theta;
+  const size_t k = theta.cols();
+  double structural = 0.0;
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    for (const LinkEntry& e : net.OutLinks(v)) {
+      structural += LinkFeature({theta.Row(v), k}, {theta.Row(e.neighbor), k},
+                                in.gamma[e.type], e.weight);
+    }
+  }
+  double attributes = 0.0;
+  for (size_t t = 0; t < in.dataset.attributes.size(); ++t) {
+    const Attribute& attr = in.dataset.attributes[t];
+    const AttributeComponents& comp = in.components[t];
+    double total = 0.0;
+    for (NodeId v = 0; v < attr.num_nodes(); ++v) {
+      const double* theta_v = theta.Row(v);
+      if (attr.kind() == AttributeKind::kCategorical) {
+        for (const TermCount& tc : attr.TermCounts(v)) {
+          double p = 0.0;
+          for (size_t c = 0; c < k; ++c) {
+            p += theta_v[c] * comp.beta()(c, tc.term);
+          }
+          total += tc.count * std::log(p > 0.0 ? p : 1e-300);
+        }
+      } else {
+        std::vector<double> logs(k);
+        for (double x : attr.Values(v)) {
+          for (size_t c = 0; c < k; ++c) {
+            const double tv = theta_v[c] > 0.0 ? theta_v[c] : 1e-300;
+            logs[c] = std::log(tv) + comp.LogPdf(static_cast<ClusterId>(c), x);
+          }
+          total += LogSumExp(logs);
+        }
+      }
+    }
+    attributes += total;
+  }
+  return structural + attributes;
+}
+
+TEST(ObjectiveTest, G1BitwiseEqualsSerialDefinitionForAnyPool) {
+  const G1Edges in = MakeG1EdgeCases();
+  std::vector<const Attribute*> attrs;
+  for (const Attribute& a : in.dataset.attributes) attrs.push_back(&a);
+  const double want = ReferenceG1(in);
+  ASSERT_TRUE(std::isfinite(want));
+  EXPECT_EQ(std::bit_cast<uint64_t>(G1Objective(in.dataset.network, attrs,
+                                                in.components, in.theta,
+                                                in.gamma)),
+            std::bit_cast<uint64_t>(want))
+      << "no pool";
+  for (size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    const double got = G1Objective(in.dataset.network, attrs, in.components,
+                                   in.theta, in.gamma, &pool);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << threads << " threads: " << got << " vs " << want;
+  }
 }
 
 }  // namespace

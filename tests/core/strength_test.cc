@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "common/random.h"
 #include "core/feature.h"
 #include "linalg/solve.h"
 #include "tests/core/test_fixtures.h"
@@ -221,6 +222,36 @@ TEST_F(StrengthFixture, FusedEvalBitwiseInvariantToThreadCount) {
       for (size_t r2 = 0; r2 < gamma.size(); ++r2) {
         EXPECT_EQ(eval.hessian(r1, r2), reference.hessian(r1, r2))
             << threads << " threads, entry (" << r1 << "," << r2 << ")";
+      }
+    }
+  }
+
+  // The same at a size where every pool dispatches: 4002 stat nodes, and
+  // two tag hubs holding 2000 links each whose blocks straggle while the
+  // other workers claim the rest. Noisy memberships keep every s-vector
+  // and feature coefficient distinct.
+  const auto hubs = MakeTwoCommunityNetwork(2000, 1.0, 12);
+  const Network& hub_net = hubs.dataset.network;
+  Matrix hub_theta(hub_net.num_nodes(), 2);
+  Rng rng(5);
+  for (size_t v = 0; v < hub_net.num_nodes(); ++v) {
+    hub_theta.SetRow(v, rng.SimplexUniform(2));
+  }
+  StrengthLearner hub_serial(&hub_net, &hub_theta, &config_);
+  const StrengthLearner::Evaluation hub_reference = hub_serial.EvalAll(gamma);
+  for (size_t threads : {2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    StrengthLearner learner(&hub_net, &hub_theta, &config_, &pool);
+    const StrengthLearner::Evaluation eval = learner.EvalAll(gamma);
+    EXPECT_EQ(eval.objective, hub_reference.objective)
+        << threads << " threads, hub network";
+    for (size_t r1 = 0; r1 < gamma.size(); ++r1) {
+      EXPECT_EQ(eval.gradient[r1], hub_reference.gradient[r1])
+          << threads << " threads, hub network, relation " << r1;
+      for (size_t r2 = 0; r2 < gamma.size(); ++r2) {
+        EXPECT_EQ(eval.hessian(r1, r2), hub_reference.hessian(r1, r2))
+            << threads << " threads, hub network, entry (" << r1 << ","
+            << r2 << ")";
       }
     }
   }
