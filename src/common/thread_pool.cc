@@ -91,56 +91,22 @@ void ThreadPool::Wait() {
   if (error) std::rethrow_exception(error);
 }
 
-bool ThreadPool::RunsInline(size_t n) const {
-  const size_t workers = std::min(threads_.size(), n);
-  return workers <= 1 || n < 2 * workers;
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  // Small ranges or a single worker: run inline to skip dispatch overhead.
-  if (RunsInline(n)) {
-    fn(0, 0, n);
-    return;
-  }
-  const size_t chunk = (n + threads_.size() - 1) / threads_.size();
-  RunTasks((n + chunk - 1) / chunk, [&fn, n, chunk](size_t s) {
-    const size_t begin = s * chunk;
-    fn(s, begin, std::min(n, begin + chunk));
-  });
-}
-
 void ThreadPool::ParallelForEach(size_t n,
                                  const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (RunsInline(n)) {
+  // A single worker or fewer than two indices per worker: run inline to
+  // skip dispatch overhead.
+  const size_t num_tasks = std::min(threads_.size(), n);
+  if (num_tasks <= 1 || n < 2 * num_tasks) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // One claim per index keeps a straggler's cost to the index it holds;
-  // a throwing index parks the cursor past the end so the other tasks
-  // stop claiming.
-  std::atomic<size_t> next{0};
-  RunTasks(std::min(threads_.size(), n), [&fn, &next, n](size_t /*task*/) {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      try {
-        fn(i);
-      } catch (...) {
-        next.store(n);
-        throw;
-      }
-    }
-  });
-}
-
-void ThreadPool::RunTasks(size_t num_tasks,
-                          const std::function<void(size_t)>& fn) {
   // Per-call completion state, so concurrent batches on one pool never
   // cross their completion or error tracking (each caller waits for
   // exactly its own tasks). Tasks catch internally and report here, not
   // into the pool-level first_error_.
   struct BatchState {
+    std::atomic<size_t> next{0};
     Mutex mutex;
     CondVar done;
     size_t remaining GENCLUS_GUARDED_BY(mutex) = 0;
@@ -151,11 +117,18 @@ void ThreadPool::RunTasks(size_t num_tasks,
     state.remaining = num_tasks;
   }
   for (size_t task = 0; task < num_tasks; ++task) {
-    Submit([&fn, &state, task] {
+    Submit([&fn, &state, n] {
+      // One claim per index keeps a straggler's cost to the index it
+      // holds; a throwing index parks the cursor past the end so the other
+      // tasks stop claiming.
       std::exception_ptr error;
       try {
-        fn(task);
+        for (size_t i = state.next.fetch_add(1); i < n;
+             i = state.next.fetch_add(1)) {
+          fn(i);
+        }
       } catch (...) {
+        state.next.store(n);
         error = std::current_exception();
       }
       // Notify under the lock: `state` lives on the caller's stack, and

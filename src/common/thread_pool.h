@@ -1,8 +1,9 @@
-// Fixed-size worker pool with a blocking ParallelFor, and the fixed-grain
-// block loops built on it. Used by the EM cluster-optimization step (paper
-// §5.4 reports a 3.19x speedup with four threads for exactly this loop
-// structure), by g1 scoring, and by the strength learner's statistics
-// build and fused ParallelForReduce.
+// Fixed-size worker pool with a blocking, dynamically scheduled
+// ParallelForEach, and the fixed-grain block loops built on it. Used by the
+// EM cluster-optimization step (paper §5.4 reports a 3.19x speedup with
+// four threads for exactly this loop structure), by g1 scoring, by the
+// strength learner's statistics build and fused ParallelForReduce, and by
+// batched inference.
 #pragma once
 
 #include <algorithm>
@@ -14,36 +15,29 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 namespace genclus {
 
-/// Cache-line size assumed by per-block state that workers write
-/// concurrently: such state is padded or aligned to whole lines so two
-/// blocks never share one (see ForEachFixedGrainBlock).
-inline constexpr size_t kCacheLineBytes = 64;
-
 /// A fixed set of worker threads executing submitted closures.
 ///
-/// ParallelFor partitions an index range into contiguous shards, one per
-/// worker, and blocks until all shards complete. Shards receive
-/// (shard_index, begin, end) so callers can keep per-shard accumulators
-/// without atomics. ParallelForEach instead hands out single indices from
-/// a shared cursor, so a slow or descheduled worker holds back only the
-/// index it is running.
+/// ParallelForEach hands the indices of a range out one at a time from a
+/// shared cursor and blocks until all have run, so a slow or descheduled
+/// worker holds back only the index it is running.
 ///
 /// Exception safety: a task that throws does not kill its worker thread or
 /// leak the in-flight count. A Submit()ted task's first exception is
-/// captured and rethrown from the next Wait(); a ParallelFor shard's (or
-/// ParallelForEach index's) first exception is rethrown from that call
-/// itself. The pool stays usable after a rethrow.
+/// captured and rethrown from the next Wait(); a ParallelForEach index's
+/// first exception is rethrown from that call itself. The pool stays
+/// usable after a rethrow.
 ///
-/// Concurrency: ParallelFor and ParallelForEach track completion per call,
-/// so multiple threads may run batches on one pool concurrently (the
-/// serving tier's worker sessions do) — each call blocks on exactly its
-/// own tasks and sees exactly its own errors. Calling either from inside a
-/// pool task still deadlocks; fan out from external threads only.
+/// Concurrency: ParallelForEach tracks completion per call, so multiple
+/// threads may run batches on one pool concurrently (the serving tier's
+/// worker sessions do) — each call blocks on exactly its own tasks and sees
+/// exactly its own errors. Calling it from inside a pool task still
+/// deadlocks; fan out from external threads only.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers. `num_threads == 0` means "hardware
@@ -56,21 +50,13 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Runs fn(shard, begin, end) over a partition of [0, n) into
-  /// min(num_threads, n) contiguous shards. Blocks until done. Runs inline
-  /// when n is small or the pool has a single thread. Rethrows the first
-  /// exception thrown by any shard once every shard has finished. Safe to
-  /// call from multiple threads concurrently (per-call completion state).
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t, size_t, size_t)>& fn)
-      GENCLUS_EXCLUDES(mutex_);
-
   /// Runs fn(i) exactly once for every i in [0, n). min(num_threads, n)
   /// pool tasks claim indices from one shared atomic cursor, so indices run
-  /// in no fixed order and on any worker. Runs inline (in ascending order)
-  /// under the same small-range rule as ParallelFor. After an index throws,
-  /// the unclaimed indices are dropped; the first exception is rethrown
-  /// once every task has finished.
+  /// in no fixed order and on any worker. Runs inline, in ascending order,
+  /// when the pool has a single thread or n is under two indices per
+  /// thread. After an index throws, the unclaimed indices are dropped; the
+  /// first exception is rethrown once every task has finished. Safe to
+  /// call from multiple threads concurrently (per-call completion state).
   void ParallelForEach(size_t n, const std::function<void(size_t)>& fn)
       GENCLUS_EXCLUDES(mutex_);
 
@@ -85,15 +71,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop() GENCLUS_EXCLUDES(mutex_);
-
-  // True when a range of n indices should run on the caller: a single
-  // worker, or fewer than two indices per worker.
-  bool RunsInline(size_t n) const;
-
-  // Submits fn(task) for task in [0, num_tasks) and blocks until all have
-  // finished; rethrows the first exception any of them raised.
-  void RunTasks(size_t num_tasks, const std::function<void(size_t)>& fn)
-      GENCLUS_EXCLUDES(mutex_);
 
   // threads_ is written only during construction (before any worker can
   // observe it) and joined in the destructor; it needs no guard, which is
@@ -120,8 +97,9 @@ class ThreadPool {
 /// block may run on any worker — neighbouring blocks usually run on
 /// different cores at the same time. A body may therefore write only its
 /// own block's state, and per-block state written while a block runs must
-/// not share a cache line with another block's (pad it to
-/// kCacheLineBytes, or accumulate in locals and store once at block end).
+/// not share a cache line with another block's (give it whole lines with
+/// alignas(kCacheLineBytes) or a CacheLineVector, or accumulate in locals
+/// and store once at block end).
 /// Results must come from block-order merges, never from the order in
 /// which blocks finished.
 ///
@@ -152,8 +130,9 @@ void ForEachFixedGrainBlock(ThreadPool* pool, size_t n, size_t grain,
 /// order (`merge(into, from)`). Because both the block boundaries and the
 /// merge order are independent of how blocks were scheduled, the reduced
 /// result is bitwise identical for any thread count, including
-/// `pool == nullptr` (fully sequential). Each partial sits on its own
-/// cache lines, so blocks running side by side never share one.
+/// `pool == nullptr` (fully sequential). Blocks run side by side, so a
+/// body that updates its partial many times should accumulate in locals
+/// and store once at block end (see ForEachFixedGrainBlock).
 ///
 /// `make()` must produce an identity partial (merging it first is a
 /// no-op).
@@ -165,19 +144,16 @@ State ParallelForReduce(ThreadPool* pool, size_t n, size_t grain,
   if (n == 0) return result;
   const size_t g = std::max<size_t>(1, grain);
   const size_t num_blocks = (n + g - 1) / g;
-  struct alignas(kCacheLineBytes) Partial {
-    State state;
-  };
-  std::vector<Partial> partials;
+  std::vector<State> partials;
   partials.reserve(num_blocks);
-  for (size_t b = 0; b < num_blocks; ++b) partials.push_back({make()});
+  for (size_t b = 0; b < num_blocks; ++b) partials.push_back(make());
 
   ForEachFixedGrainBlock(pool, n, grain,
                          [&](size_t b, size_t begin, size_t end) {
-                           body(partials[b].state, begin, end);
+                           body(partials[b], begin, end);
                          });
   for (size_t b = 0; b < num_blocks; ++b) {
-    merge(result, std::move(partials[b].state));
+    merge(result, std::move(partials[b]));
   }
   return result;
 }

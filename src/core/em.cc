@@ -95,7 +95,7 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   const size_t per_block = (4 + 3 * attributes.size()) * num_clusters;
   scratch_stride_ =
       (per_block + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-  scratch_.assign(num_blocks * scratch_stride_ + kLineDoubles, 0.0);
+  scratch_.assign(num_blocks * scratch_stride_, 0.0);
 
   block_acc_.assign(num_blocks, {});
   for (auto& block : block_acc_) {
@@ -129,14 +129,6 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   last_gamma_.clear();
   last_sweep_skipped_ = 0;
   merged_acc_ = block_acc_[0];
-}
-
-double* EmWorkspace::BlockScratch(size_t block) {
-  const size_t misalign =
-      reinterpret_cast<uintptr_t>(scratch_.data()) % kCacheLineBytes;
-  const size_t skip =
-      misalign == 0 ? 0 : (kCacheLineBytes - misalign) / sizeof(double);
-  return scratch_.data() + skip + block * scratch_stride_;
 }
 
 void EmWorkspace::PrepareSharding(const Network& network,

@@ -34,6 +34,7 @@
 
 #include <vector>
 
+#include "common/cache_line.h"
 #include "common/thread_pool.h"
 #include "core/components.h"
 #include "core/config.h"
@@ -111,15 +112,18 @@ class EmWorkspace {
   std::vector<std::vector<EmComponentAccumulator>> block_acc_;
   std::vector<double> block_delta_;
   std::vector<double> block_objective_;
-  // Block b's scratch: scratch_stride_ doubles starting on a cache-line
-  // boundary, so blocks running side by side never share a line. Holds
+  // Block b's scratch: scratch_stride_ doubles (whole cache lines) from
+  // the line-aligned start of scratch_, so blocks running side by side
+  // never share a line. Holds
   // 4 * K doubles (responsibilities, log theta_v clamped for the E-step,
   // log theta_v clamped for the structural score, and the hoisted
   // log theta_vk + log_norm_k base of the Gaussian E-step), then 3 * K
   // numerical moment sums (weight, value, square) per attribute, which the
   // block stores into its accumulator once, at block end.
-  double* BlockScratch(size_t block);
-  std::vector<double> scratch_;  // one spare line to align the first block
+  double* BlockScratch(size_t block) {
+    return scratch_.data() + block * scratch_stride_;
+  }
+  CacheLineVector<double> scratch_;
   size_t scratch_stride_ = 0;
   // Term-major transpose of each categorical attribute's beta (vocab x K),
   // so the per-term E-step reads K contiguous doubles.

@@ -7,13 +7,6 @@
 
 namespace genclus {
 
-namespace {
-
-// Source nodes per scoring block; fixed, like every blocked pass.
-constexpr size_t kScoreGrain = 128;
-
-}  // namespace
-
 double CrossEntropyScore(std::span<const double> theta_i,
                          std::span<const double> theta_j) {
   GENCLUS_DCHECK(theta_i.size() == theta_j.size());
@@ -63,7 +56,7 @@ double StructuralScore(const Network& network, const Matrix& theta,
   // would regroup the additions, the buffer keeps the serial chain.
   std::vector<double> terms(network.num_links());
   ForEachFixedGrainBlock(
-      pool, network.num_nodes(), kScoreGrain,
+      pool, network.num_nodes(), kScoreBlockGrain,
       [&](size_t /*block*/, size_t begin, size_t end) {
         std::vector<double> logs(k);
         for (size_t vi = begin; vi < end; ++vi) {

@@ -21,6 +21,12 @@
 
 namespace genclus {
 
+/// Nodes per block of the blocked g1 scoring passes (StructuralScore and
+/// the attribute log-likelihood). Fixed, like every blocked pass; the
+/// scores do not depend on it, since blocks only fill term buffers that
+/// are summed serially.
+inline constexpr size_t kScoreBlockGrain = 128;
+
 /// f for a single link given membership rows of the source (theta_i) and
 /// target (theta_j). Components of theta_i are floored at
 /// kDefaultThetaFloor before the log.

@@ -37,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "common/cache_line.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/components.h"
@@ -268,11 +269,12 @@ class ServeWorkspace {
   // Per-block sweep scratch: theta/mix/responsibilities/log-theta (4 x K
   // doubles in `kbuf`), the per-query cache of sweep-invariant Gaussian
   // log-densities (one K-row per numerical observation) and the resolved
-  // observation descriptors.
-  struct BlockScratch {
-    std::vector<double> kbuf;
-    std::vector<double> log_pdf;
-    std::vector<ObsRef> obs;
+  // observation descriptors. Blocks run side by side, so the struct and
+  // each buffer occupy cache lines of their own.
+  struct alignas(kCacheLineBytes) BlockScratch {
+    CacheLineVector<double> kbuf;
+    CacheLineVector<double> log_pdf;
+    CacheLineVector<ObsRef> obs;
   };
 
   const Model* prepared_for_ = nullptr;

@@ -9,13 +9,6 @@
 
 namespace genclus {
 
-namespace {
-
-// Nodes per scoring block; fixed, like every blocked pass.
-constexpr size_t kScoreGrain = 128;
-
-}  // namespace
-
 double AttributeLogLikelihood(const Attribute& attribute,
                               const AttributeComponents& components,
                               const Matrix& theta, ThreadPool* pool) {
@@ -38,7 +31,8 @@ double AttributeLogLikelihood(const Attribute& attribute,
   if (categorical) {
     const Matrix& beta = components.beta();
     ForEachFixedGrainBlock(
-        pool, n, kScoreGrain, [&](size_t /*block*/, size_t begin, size_t end) {
+        pool, n, kScoreBlockGrain,
+        [&](size_t /*block*/, size_t begin, size_t end) {
           for (size_t vi = begin; vi < end; ++vi) {
             const NodeId v = static_cast<NodeId>(vi);
             const double* theta_v = theta.Row(v);
@@ -68,7 +62,8 @@ double AttributeLogLikelihood(const Attribute& attribute,
       two_var[k] = 2.0 * g.variance();
     }
     ForEachFixedGrainBlock(
-        pool, n, kScoreGrain, [&](size_t /*block*/, size_t begin, size_t end) {
+        pool, n, kScoreBlockGrain,
+        [&](size_t /*block*/, size_t begin, size_t end) {
           std::vector<double> log_theta(num_clusters);
           std::vector<double> logs(num_clusters);
           for (size_t vi = begin; vi < end; ++vi) {

@@ -35,60 +35,29 @@ TEST(ThreadPoolTest, SubmitAndWaitRunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ParallelForEachCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const size_t n = 10000;
   std::vector<std::atomic<int>> touched(n);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
+  pool.ParallelForEach(n, [&](size_t i) { touched[i].fetch_add(1); });
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(touched[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForShardsAreDisjointContiguous) {
-  ThreadPool pool(4);
-  const size_t n = 997;  // not divisible by shard count
-  std::vector<int> owner(n, -1);
-  std::mutex m;
-  pool.ParallelFor(n, [&](size_t shard, size_t begin, size_t end) {
-    std::lock_guard<std::mutex> lock(m);
-    for (size_t i = begin; i < end; ++i) owner[i] = static_cast<int>(shard);
-  });
-  for (size_t i = 0; i < n; ++i) EXPECT_NE(owner[i], -1);
-  // Contiguity: owner ids are non-decreasing across the range.
-  for (size_t i = 1; i < n; ++i) EXPECT_GE(owner[i], owner[i - 1]);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
+TEST(ThreadPoolTest, ParallelForEachEmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, [&](size_t, size_t, size_t) { called = true; });
+  pool.ParallelForEach(0, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ParallelForSmallRangeRunsInline) {
-  ThreadPool pool(8);
-  std::vector<int> touched(3, 0);
-  pool.ParallelFor(3, [&](size_t shard, size_t begin, size_t end) {
-    EXPECT_EQ(shard, 0u);
-    for (size_t i = begin; i < end; ++i) touched[i]++;
-  });
-  EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 3);
-}
-
-TEST(ThreadPoolTest, ParallelForSumMatchesSerial) {
+TEST(ThreadPoolTest, ParallelForEachPerIndexSlotsSumMatchesSerial) {
   ThreadPool pool(4);
   const size_t n = 100000;
-  std::vector<double> partial(pool.num_threads(), 0.0);
-  pool.ParallelFor(n, [&](size_t shard, size_t begin, size_t end) {
-    double acc = 0.0;
-    for (size_t i = begin; i < end; ++i) acc += static_cast<double>(i);
-    partial[shard] += acc;
-  });
-  const double total =
-      std::accumulate(partial.begin(), partial.end(), 0.0);
+  std::vector<double> slot(n, 0.0);
+  pool.ParallelForEach(n, [&](size_t i) { slot[i] = static_cast<double>(i); });
+  const double total = std::accumulate(slot.begin(), slot.end(), 0.0);
   EXPECT_DOUBLE_EQ(total, static_cast<double>(n) * (n - 1) / 2.0);
 }
 
@@ -133,30 +102,30 @@ TEST(ThreadPoolTest, SingleWorkerExecutesSubmittedTasksInFifoOrder) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPoolTest, SingleWorkerParallelForRunsInlineOnCaller) {
-  // A 1-thread pool must take the inline fast path: the body runs on the
-  // calling thread, in one shard covering the whole range.
+TEST(ThreadPoolTest, SingleWorkerParallelForEachRunsInlineOnCaller) {
+  // A 1-thread pool must take the inline fast path: every index runs on
+  // the calling thread, in ascending order.
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
-  size_t calls = 0;
-  pool.ParallelFor(1000, [&](size_t shard, size_t begin, size_t end) {
-    ++calls;
-    EXPECT_EQ(shard, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 1000u);
+  std::vector<size_t> order;
+  pool.ParallelForEach(1000, [&](size_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
-  EXPECT_EQ(calls, 1u);
+  ASSERT_EQ(order.size(), 1000u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, TinyRangeRunsInlineEvenWithManyWorkers) {
-  // n < 2 * shards skips dispatch entirely — same thread, single shard.
+  // n < 2 * threads skips dispatch entirely — same thread, ascending order.
   ThreadPool pool(8);
   const std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(5, [&](size_t shard, size_t, size_t) {
-    EXPECT_EQ(shard, 0u);
+  std::vector<size_t> order;
+  pool.ParallelForEach(5, [&](size_t i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
   });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPoolTest, TaskExceptionRethrownFromWait) {
@@ -190,12 +159,12 @@ TEST(ThreadPoolTest, FirstOfSeveralTaskExceptionsWins) {
 }
 
 TEST(ThreadPoolTest, PoolUsableFromInsideWaitCatchHandler) {
-  // Pin for the PR 7 restructure: Wait() and ParallelFor() now move the
-  // stored exception out under the lock and rethrow only after the
-  // MutexLock scope closes, making the lock release explicit rather than
-  // a side effect of unwinding the lock guard. The observable contract:
-  // the pool mutex is free inside the catch handler, so the handler can
-  // immediately Submit/Wait/ParallelFor on the same pool.
+  // Wait() and ParallelForEach() move the stored exception out under the
+  // lock and rethrow only after the MutexLock scope closes, making the lock
+  // release explicit rather than a side effect of unwinding the lock
+  // guard. The observable contract: the pool mutex is free inside the
+  // catch handler, so the handler can immediately Submit/Wait/
+  // ParallelForEach on the same pool.
   ThreadPool pool(2);
   pool.Submit([] { throw std::runtime_error("boom"); });
   bool caught = false;
@@ -212,33 +181,30 @@ TEST(ThreadPoolTest, PoolUsableFromInsideWaitCatchHandler) {
 
   caught = false;
   try {
-    pool.ParallelFor(1000, [](size_t shard, size_t, size_t) {
-      if (shard == 0) throw std::logic_error("shard boom");
+    pool.ParallelForEach(1000, [](size_t i) {
+      if (i == 0) throw std::logic_error("index boom");
     });
   } catch (const std::logic_error&) {
     caught = true;
     std::atomic<int> count{0};
-    pool.ParallelFor(64, [&](size_t, size_t begin, size_t end) {
-      count.fetch_add(static_cast<int>(end - begin));
-    });
+    pool.ParallelForEach(64, [&](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 64);
   }
   EXPECT_TRUE(caught);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsShardException) {
+TEST(ThreadPoolTest, ParallelForEachRethrowsIndexException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(1000,
-                       [](size_t shard, size_t, size_t) {
-                         if (shard == 1) throw std::runtime_error("shard");
-                       }),
-      std::runtime_error);
-  // Other shards completed and the pool is reusable.
+  EXPECT_THROW(pool.ParallelForEach(1000,
+                                    [](size_t i) {
+                                      if (i == 1) {
+                                        throw std::runtime_error("index");
+                                      }
+                                    }),
+               std::runtime_error);
+  // Every task finished and the pool is reusable.
   std::atomic<int> count{0};
-  pool.ParallelFor(100, [&](size_t, size_t begin, size_t end) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
+  pool.ParallelForEach(100, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -309,8 +275,8 @@ TEST(ThreadPoolReduceTest, BodyExceptionPropagates) {
                std::runtime_error);
 }
 
-TEST(ThreadPoolTest, ConcurrentParallelForBatchesStayIndependent) {
-  // Multiple caller threads interleaving ParallelFor on ONE pool: each
+TEST(ThreadPoolTest, ConcurrentParallelForEachBatchesStayIndependent) {
+  // Multiple caller threads interleaving ParallelForEach on ONE pool: each
   // call's completion tracking is batch-local, so every caller must see
   // exactly its own range covered (the old pool-global Wait could return
   // early or late when batches interleaved).
@@ -324,9 +290,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForBatchesStayIndependent) {
       const size_t n = 1000 + 97 * c;  // distinct ranges per caller
       for (size_t round = 0; round < kRounds; ++round) {
         std::atomic<size_t> covered{0};
-        pool.ParallelFor(n, [&covered](size_t, size_t begin, size_t end) {
-          covered.fetch_add(end - begin);
-        });
+        pool.ParallelForEach(n, [&covered](size_t) { covered.fetch_add(1); });
         if (covered.load() != n) ok.store(false);
       }
     });
@@ -335,8 +299,8 @@ TEST(ThreadPoolTest, ConcurrentParallelForBatchesStayIndependent) {
   EXPECT_TRUE(ok.load());
 }
 
-TEST(ThreadPoolTest, ConcurrentParallelForIsolatesExceptionsPerCall) {
-  // A shard throwing in one caller's batch must surface in THAT call only;
+TEST(ThreadPoolTest, ConcurrentParallelForEachIsolatesExceptionsPerCall) {
+  // An index throwing in one caller's batch must surface in THAT call only;
   // concurrent clean batches on the same pool finish normally.
   ThreadPool pool(4);
   std::atomic<int> clean_failures{0};
@@ -344,8 +308,8 @@ TEST(ThreadPoolTest, ConcurrentParallelForIsolatesExceptionsPerCall) {
   std::thread thrower([&pool, &rethrown] {
     for (int round = 0; round < 20; ++round) {
       try {
-        pool.ParallelFor(1000, [](size_t shard, size_t, size_t) {
-          if (shard == 0) throw std::runtime_error("mine");
+        pool.ParallelForEach(1000, [](size_t i) {
+          if (i == 0) throw std::runtime_error("mine");
         });
       } catch (const std::runtime_error&) {
         rethrown.fetch_add(1);
@@ -356,9 +320,8 @@ TEST(ThreadPoolTest, ConcurrentParallelForIsolatesExceptionsPerCall) {
     for (int round = 0; round < 20; ++round) {
       std::atomic<size_t> covered{0};
       try {
-        pool.ParallelFor(1000, [&covered](size_t, size_t begin, size_t end) {
-          covered.fetch_add(end - begin);
-        });
+        pool.ParallelForEach(1000,
+                             [&covered](size_t) { covered.fetch_add(1); });
       } catch (...) {
         clean_failures.fetch_add(1);
       }
@@ -375,9 +338,7 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool pool(2);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> count{0};
-    pool.ParallelFor(100, [&](size_t, size_t begin, size_t end) {
-      count.fetch_add(static_cast<int>(end - begin));
-    });
+    pool.ParallelForEach(100, [&](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 100);
   }
 }
@@ -501,6 +462,10 @@ TEST(ThreadPoolTest, TaskFailpointSurfacesFromWaitAndPoolKeepsServing) {
   pool.Submit([&ran] { ran.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(ran.load(), 8);
+  // Batches run normally once the failpoint is disarmed.
+  std::atomic<size_t> covered{0};
+  pool.ParallelForEach(100, [&covered](size_t) { covered.fetch_add(1); });
+  EXPECT_EQ(covered.load(), 100u);
 }
 #endif
 
