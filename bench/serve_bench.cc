@@ -259,13 +259,16 @@ int main(int argc, char** argv) {
       cells.push_back(cell);
     }
 
-    // Gate 3: serving through two Θ column shards stays bitwise equal to
-    // the un-sharded memberships (ascending shard-order merge).
-    {
-      EngineOptions options;
-      options.num_threads = 2;
-      options.theta_shards = 2;
-      auto engine = Engine::Create(&data->dataset.network, model, options);
+    // Gate 3: serving through 2 and 4 Θ column shards stays bitwise equal
+    // to the un-sharded memberships (ascending shard-order merge). Serving
+    // adopts the model's stamped shard count, so each count is stamped on
+    // a copy of the model.
+    for (size_t shards : {2, 4}) {
+      Model sharded_model = model;
+      sharded_model.theta_shards = shards;
+      auto engine = Engine::Create(&data->dataset.network,
+                                   std::move(sharded_model),
+                                   {.num_threads = 2});
       if (!engine.ok()) {
         std::fprintf(stderr, "Engine::Create failed: %s\n",
                      engine.status().ToString().c_str());
@@ -275,9 +278,9 @@ int main(int argc, char** argv) {
           engine->Execute(engine->Plan(queries));
       if (sharded.memberships.data() != serial_memberships.data()) {
         std::fprintf(stderr,
-                     "FAIL: sharded serving (theta_shards=2) not bitwise "
+                     "FAIL: sharded serving (theta_shards=%zu) not bitwise "
                      "equal to un-sharded (batch=%zu)\n",
-                     batch);
+                     shards, batch);
         gates_ok = false;
       }
     }

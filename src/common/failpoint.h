@@ -9,13 +9,13 @@
 //   GENCLUS_FAILPOINT("server.execute",
 //                     throw std::runtime_error("injected failure"));
 //   GENCLUS_FAILPOINT("bounded_queue.push", return false);
-//   GENCLUS_FAILPOINT("server.worker_batch");   // delay-only site
 //
 // Tests arm a site by name with a FailpointSpec:
 //
 //   Failpoints::Arm("server.execute", {.max_fires = 1});        // throw once
-//   Failpoints::Arm("server.worker_batch",
-//                   {.delay_us = 20000, .fail = false});        // 20ms stall
+//   Failpoints::Arm("server.execute",
+//                   {.delay_us = 20000, .fail = false});        // 20ms stall,
+//                                                               // no throw
 //   Failpoints::Arm("model_io.save", {.skip_hits = 2});         // 3rd hit on
 //
 // Fire() applies the configured delay (if any) and returns whether the

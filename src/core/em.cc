@@ -28,29 +28,6 @@ constexpr size_t kMergeGrain = 128;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Normalizes `mix` onto the simplex into `out` (aliasing allowed), with
-// the uniform fallback for isolated attribute-free nodes and the
-// theta_floor clamp. Shared by the kernel path and the reference path so
-// both apply the identical arithmetic.
-inline void NormalizeOntoSimplex(const double* mix, size_t num_clusters,
-                                 double floor, double* out) {
-  double total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) total += mix[k];
-  if (total <= 0.0 || !std::isfinite(total)) {
-    const double u = 1.0 / static_cast<double>(num_clusters);
-    for (size_t k = 0; k < num_clusters; ++k) out[k] = u;
-    return;
-  }
-  double clamped_total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) {
-    double val = mix[k] / total;
-    if (val < floor) val = floor;
-    out[k] = val;
-    clamped_total += val;
-  }
-  for (size_t k = 0; k < num_clusters; ++k) out[k] /= clamped_total;
-}
-
 void ZeroAccumulator(EmComponentAccumulator* acc) {
   std::fill(acc->counts.begin(), acc->counts.end(), 0.0);
   std::fill(acc->weight_sum.begin(), acc->weight_sum.end(), 0.0);

@@ -211,18 +211,11 @@ Result<FitResult> Engine::Fit(const Dataset& dataset,
 // execute in parallel with no global execution mutex (the pool tracks
 // completion per call, so sessions may share the engine's thread pool).
 struct Engine::ServeState {
-  ServeState(const Network* network, const Model* model, ThreadPool* pool,
-             const EngineOptions& options)
-      : network(network),
-        model(model),
-        pool(pool),
-        options(options),
-        planner(network, model, options.theta_shards) {}
+  ServeState(const Network* network, const Model* model, ThreadPool* pool)
+      : model(model), pool(pool), planner(network, model) {}
 
-  const Network* network;
   const Model* model;
   ThreadPool* pool;
-  EngineOptions options;
   BatchPlanner planner;
 
   Mutex session_mutex;
@@ -240,8 +233,7 @@ struct Engine::ServeState {
         return session;
       }
     }
-    return std::make_unique<InferSession>(
-        model, pool, options.inference_iterations, options.theta_floor);
+    return std::make_unique<InferSession>(model, pool);
   }
 
   void ReleaseSession(std::unique_ptr<InferSession> session)
@@ -257,12 +249,10 @@ Engine::~Engine() = default;
 
 Engine::Engine(const Network* network, std::unique_ptr<Model> model,
                EngineOptions options)
-    : network_(network),
-      model_(std::move(model)),
-      options_(options),
+    : model_(std::move(model)),
       pool_(std::make_unique<ThreadPool>(options.num_threads)),
-      serve_(std::make_unique<ServeState>(network_, model_.get(),
-                                          pool_.get(), options_)) {}
+      serve_(std::make_unique<ServeState>(network, model_.get(),
+                                          pool_.get())) {}
 
 Result<Engine> Engine::Create(const Network* network, Model model,
                               EngineOptions options) {
@@ -270,12 +260,6 @@ Result<Engine> Engine::Create(const Network* network, Model model,
     return Status::InvalidArgument("network must not be null");
   }
   GENCLUS_RETURN_IF_ERROR(model.ValidateAgainst(*network));
-  if (options.inference_iterations < 1) {
-    return Status::InvalidArgument("inference_iterations must be >= 1");
-  }
-  if (!(options.theta_floor > 0.0)) {
-    return Status::InvalidArgument("theta_floor must be > 0");
-  }
   return Engine(network, std::make_unique<Model>(std::move(model)),
                 options);
 }

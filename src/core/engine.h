@@ -120,20 +120,12 @@ struct FitResult {
   FitReport report;
 };
 
-/// Serving-side knobs. Defaults come from ServeDefaults
-/// (core/inference.h) — the single source the reference path uses too.
+/// Serving-side knobs. The sweep count and floor are ServeDefaults
+/// (core/inference.h) and the Θ shard count is the model's stamped
+/// `theta_shards`: the engine serves exactly the InferMembership answer.
 struct EngineOptions {
   /// Worker threads for batch execution. 0 = hardware concurrency.
   size_t num_threads = 0;
-  /// Fixed-point sweeps per query (see InferMembership).
-  size_t inference_iterations = ServeDefaults::kInferenceIterations;
-  /// Floor applied to inferred membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
-  /// Θ column-shard count for the batch link term. 0 (default) adopts the
-  /// model's stamped `theta_shards`; any other value overrides it
-  /// (clamped like ShardPartition::Resolve). Served memberships are
-  /// bitwise identical for every choice.
-  size_t theta_shards = 0;
 };
 
 struct RefitOptions;  // core/update.h
@@ -160,6 +152,7 @@ class Engine {
 
   /// Builds a serving engine after checking that `model` is internally
   /// consistent and matches `network` (node count, link-type names).
+  /// Batches execute over the model's stamped `theta_shards` partition.
   static Result<Engine> Create(const Network* network, Model model,
                                EngineOptions options = {});
 
@@ -226,11 +219,9 @@ class Engine {
       std::optional<WarmStart> warm, ProgressObserver* observer,
       const CancellationToken* cancellation);
 
-  const Network* network_;
   // Heap-held so the planner/session pointers into the model survive
   // Engine moves.
   std::unique_ptr<Model> model_;
-  EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;
   // Planner plus the recycled InferSession pool (one session per
   // concurrent Execute caller); defined in engine.cc. Declared last so it

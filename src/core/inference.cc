@@ -142,14 +142,12 @@ Status NewObjectObservation::Validate(const Model& model) const {
 // ---------------------------------------------------------------------------
 // BatchPlanner
 
-BatchPlanner::BatchPlanner(const Network* network, const Model* model,
-                           size_t theta_shards)
+BatchPlanner::BatchPlanner(const Network* network, const Model* model)
     : network_(network),
       model_(model),
       model_status_(ValidateModelForServing(*network, *model)),
-      theta_partition_(ShardPartition::Resolve(
-          theta_shards == 0 ? model->theta_shards : theta_shards,
-          model->num_nodes())) {}
+      theta_partition_(
+          ShardPartition::Resolve(model->theta_shards, model->num_nodes())) {}
 
 InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
   WallTimer timer;
@@ -285,12 +283,8 @@ void ServeWorkspace::PrepareBatch(size_t num_rows, size_t num_clusters,
 // ---------------------------------------------------------------------------
 // InferSession
 
-InferSession::InferSession(const Model* model, ThreadPool* pool,
-                           size_t iterations, double theta_floor)
-    : model_(model),
-      pool_(pool),
-      iterations_(iterations),
-      theta_floor_(theta_floor) {}
+InferSession::InferSession(const Model* model, ThreadPool* pool)
+    : model_(model), pool_(pool) {}
 
 InferenceResult InferSession::Execute(const InferPlan& plan) {
   WallTimer timer;
@@ -339,9 +333,8 @@ void InferSession::ExecuteBlock(const InferPlan& plan, size_t block,
     // Per-shard link terms merged in ascending shard order — each row's
     // chain replays the monolithic call's non-zero order bit for bit,
     // while every shard gathers from only its own Θ block. The shard base
-    // comes from the plan's partition (the planner may override the
-    // model's stamped shard count, so Model::ShardThetaData would slice
-    // differently).
+    // comes from the plan's partition (the model's stamped shard count,
+    // resolved by the planner).
     const double* theta = model_->theta.data().data();
     for (size_t s = 0; s < num_shards; ++s) {
       SpmmAccumulateShard(links, plan.shard_split, plan.theta_partition, s,
@@ -395,7 +388,6 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
   double* resp = mix + num_clusters;
   double* log_theta = resp + num_clusters;
 
-  const size_t sweeps = std::max<size_t>(1, iterations_);
   for (size_t row = row_begin; row < row_end; ++row) {
     const double* link_row = workspace_.link_part_.Row(row);
     const size_t obs_begin = plan.observation_offsets[row];
@@ -432,7 +424,8 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
     }
 
     std::fill(theta, theta + num_clusters, 1.0 / num_clusters);
-    for (size_t iter = 0; iter < sweeps; ++iter) {
+    for (size_t iter = 0; iter < ServeDefaults::kInferenceIterations;
+         ++iter) {
       std::copy(link_row, link_row + num_clusters, mix);
       bool log_theta_ready = false;
       for (size_t j = 0; j < num_obs; ++j) {
@@ -493,7 +486,7 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
         }
       }
       NormalizeToSimplex(mix, num_clusters);
-      ClampToSimplex(mix, num_clusters, theta_floor_);
+      ClampToSimplex(mix, num_clusters, ServeDefaults::kThetaFloor);
       // Fused max-|delta| + swap: after this loop `theta` holds the new
       // iterate and `mix` the old one (overwritten next sweep).
       double delta = 0.0;
@@ -519,8 +512,7 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
 Result<std::vector<double>> InferMembership(
     const Network& network, const Model& model,
     const std::vector<NewObjectLink>& links,
-    const std::vector<NewObjectObservation>& observations,
-    size_t iterations, double theta_floor) {
+    const std::vector<NewObjectObservation>& observations) {
   const size_t num_clusters = model.theta.cols();
   GENCLUS_RETURN_IF_ERROR(ValidateModelForServing(network, model));
   GENCLUS_RETURN_IF_ERROR(
@@ -562,8 +554,7 @@ Result<std::vector<double>> InferMembership(
 
   std::vector<double> theta(num_clusters, 1.0 / num_clusters);
   std::vector<double> resp(num_clusters);
-  const size_t sweeps = std::max<size_t>(1, iterations);
-  for (size_t iter = 0; iter < sweeps; ++iter) {
+  for (size_t iter = 0; iter < ServeDefaults::kInferenceIterations; ++iter) {
     std::vector<double> mix = link_part;
     for (const NewObjectObservation& obs : observations) {
       const AttributeComponents& comp = model.components[obs.attribute];
@@ -605,7 +596,7 @@ Result<std::vector<double>> InferMembership(
       }
     }
     NormalizeToSimplex(&mix);
-    ClampToSimplex(&mix, theta_floor);
+    ClampToSimplex(&mix, ServeDefaults::kThetaFloor);
     const double delta = MaxAbsDiff(theta, mix);
     theta = std::move(mix);
     if (delta < ServeDefaults::kSweepTolerance) break;

@@ -27,6 +27,10 @@
 //     attribute sweeps run over fixed-grain query blocks, so results are
 //     bitwise invariant to the thread count.
 //
+// Both paths take the sweep count and floor from ServeDefaults and the
+// Θ shard count from the model, with no override, so there is exactly
+// one answer per (model, query).
+//
 // Engine (core/engine.h) wraps the pipeline behind Plan/Execute and keeps
 // Infer/InferBatch as thin wrappers over a one-shot plan; Server
 // (core/server.h) runs it behind a bounded micro-batching request queue.
@@ -51,8 +55,8 @@
 
 namespace genclus {
 
-/// Serving defaults, single-sourced: engine options, InferMembership's
-/// defaults and the tests all read these instead of restating literals.
+/// Serving constants, single-sourced: InferMembership, every InferSession
+/// (and so Engine and Server) and the streaming-update fold-in read these.
 struct ServeDefaults {
   /// Fixed-point sweeps per query (the responsibilities depend on the
   /// object's own theta, so a few iterations refine the attribute part;
@@ -177,10 +181,6 @@ struct ServeReport {
   size_t total_observations = 0;
   /// Fixed-grain execution blocks the batch was cut into.
   size_t exec_blocks = 0;
-  /// Valid queries answered with fewer fixed-point sweeps than the
-  /// configured normal — the serving tier's graceful-degradation mode.
-  /// Always 0 on the direct Engine/InferSession paths.
-  size_t degraded_queries = 0;
   double plan_seconds = 0.0;
   double exec_seconds = 0.0;
 };
@@ -217,13 +217,10 @@ struct InferenceResult {
 /// planner.
 class BatchPlanner {
  public:
-  /// `theta_shards` picks the column-shard count used to execute the
-  /// batch link term: 0 (default) adopts the model's stamped
-  /// `theta_shards`, any other value overrides it (clamped like
-  /// ShardPartition::Resolve). Served memberships are bitwise identical
-  /// for every choice.
-  BatchPlanner(const Network* network, const Model* model,
-               size_t theta_shards = 0);
+  /// The batch link term executes over the model's stamped `theta_shards`
+  /// column partition (clamped like ShardPartition::Resolve). Served
+  /// memberships are bitwise identical for every shard count.
+  BatchPlanner(const Network* network, const Model* model);
 
   /// Validates every query (per-query Status — one bad query never
   /// poisons the rest) and assembles the valid ones into the batch CSR.
@@ -290,16 +287,16 @@ class ServeWorkspace {
 };
 
 /// Executes InferPlans over a thread pool, reusing one ServeWorkspace
-/// across batches. `model` must outlive the session and must not change
-/// while the session exists; `pool` may be null for serial execution.
+/// across batches. Every query runs ServeDefaults::kInferenceIterations
+/// sweeps with ServeDefaults::kThetaFloor, like InferMembership. `model`
+/// must outlive the session and must not change while the session exists;
+/// `pool` may be null for serial execution.
 /// Not thread-safe: callers running batches concurrently use one session
 /// per concurrent batch (Engine recycles a session pool; Server gives
 /// each worker thread its own session).
 class InferSession {
  public:
-  InferSession(const Model* model, ThreadPool* pool,
-               size_t iterations = ServeDefaults::kInferenceIterations,
-               double theta_floor = ServeDefaults::kThetaFloor);
+  InferSession(const Model* model, ThreadPool* pool);
 
   /// Runs the batch: one SpMM pass for the link term, then the attribute
   /// fixed-point sweeps, both over fixed-grain query blocks. Results are
@@ -307,13 +304,6 @@ class InferSession {
   /// thread count. The plan must have been built against this session's
   /// model.
   InferenceResult Execute(const InferPlan& plan);
-
-  /// Fixed-point sweeps per query. The serving tier's degradation
-  /// controller lowers this under sustained overload and restores it on
-  /// recovery; each worker owns its session, so no synchronization is
-  /// needed. Clamped to at least 1 at execution time.
-  void set_iterations(size_t iterations) { iterations_ = iterations; }
-  size_t iterations() const { return iterations_; }
 
  private:
   // Runs query rows [row_begin, row_end) of one block: SpMM for the
@@ -330,20 +320,17 @@ class InferSession {
 
   const Model* model_;
   ThreadPool* pool_;
-  size_t iterations_;
-  double theta_floor_;
   ServeWorkspace workspace_;
 };
 
 /// Infers theta for a new object given its out-links and observations —
 /// the per-query reference path the batch pipeline is tested against.
-/// `iterations` fixed-point sweeps. Fails if a link/observation
-/// references unknown ids or mismatched attribute kinds.
+/// Runs ServeDefaults::kInferenceIterations fixed-point sweeps with
+/// ServeDefaults::kThetaFloor. Fails if a link/observation references
+/// unknown ids or mismatched attribute kinds.
 Result<std::vector<double>> InferMembership(
     const Network& network, const Model& model,
     const std::vector<NewObjectLink>& links,
-    const std::vector<NewObjectObservation>& observations,
-    size_t iterations = ServeDefaults::kInferenceIterations,
-    double theta_floor = ServeDefaults::kThetaFloor);
+    const std::vector<NewObjectObservation>& observations);
 
 }  // namespace genclus

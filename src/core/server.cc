@@ -21,9 +21,8 @@ namespace {
 // current behavior, memory stays bounded under sustained traffic.
 constexpr size_t kMaxLatencySamples = 8192;
 
-// Smoothing of the admission-prediction EWMAs (queue wait, batch exec).
-// One sample per micro-batch: 0.25 converges in a handful of batches yet
-// rides out single-batch outliers.
+// Smoothing of the batch-execution EWMA. One sample per micro-batch: 0.25
+// converges in a handful of batches yet rides out single-batch outliers.
 constexpr double kEwmaAlpha = 0.25;
 
 // Scheduling slack added to the predicted execution time when a deadline
@@ -77,18 +76,28 @@ double SecondsBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-// Folds one sample into a bit-cast-published EWMA and returns the new
-// value. Callers serialize the read-modify-write (the workers run it
-// under stats_mutex_); the atomic is only the lock-free publication
-// channel for Submit-side readers. Zero bits = no samples yet, so the
-// first sample seeds the average instead of decaying from 0.
-double FoldEwma(std::atomic<uint64_t>* bits, double sample_us) {
+// Folds one sample into a bit-cast-published EWMA. Callers serialize the
+// read-modify-write (the workers run it under stats_mutex_); the atomic is
+// only the lock-free publication channel for readers. Zero bits = no
+// samples yet, so the first sample seeds the average instead of decaying
+// from 0.
+void FoldEwma(std::atomic<uint64_t>* bits, double sample_us) {
   const double prev =
       std::bit_cast<double>(bits->load(std::memory_order_relaxed));
   const double next =
       prev == 0.0 ? sample_us : prev + kEwmaAlpha * (sample_us - prev);
   bits->store(std::bit_cast<uint64_t>(next), std::memory_order_relaxed);
-  return next;
+}
+
+// Deadline admission: only a deadline that has already expired is turned
+// away at Submit; everything else queues (or meets a full queue) and a
+// request that expires while queued is shed at dequeue.
+Status CheckDeadlineAdmissible(const Deadline& deadline,
+                               std::chrono::steady_clock::time_point now) {
+  if (!deadline.is_infinite() && deadline.Expired(now)) {
+    return Status::DeadlineExceeded("deadline already expired at submit");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -100,36 +109,16 @@ Status ServerOptions::Validate() const {
   if (max_batch < 1) {
     return Status::InvalidArgument("max_batch must be >= 1");
   }
-  if (inference_iterations < 1) {
-    return Status::InvalidArgument("inference_iterations must be >= 1");
-  }
-  if (!(theta_floor > 0.0)) {
-    return Status::InvalidArgument("theta_floor must be > 0");
-  }
-  if (min_inference_iterations < 1 ||
-      min_inference_iterations > inference_iterations) {
-    return Status::InvalidArgument(
-        "min_inference_iterations must be in [1, inference_iterations]");
-  }
   if (default_timeout_us < 0) {
     return Status::InvalidArgument("default_timeout_us must be >= 0");
-  }
-  if (degrade_queue_wait_us < 0 || recover_queue_wait_us < 0) {
-    return Status::InvalidArgument(
-        "degradation thresholds must be >= 0");
-  }
-  if (degrade_queue_wait_us > 0 && recover_queue_wait_us > 0 &&
-      recover_queue_wait_us >= degrade_queue_wait_us) {
-    return Status::InvalidArgument(
-        "recover_queue_wait_us must be below degrade_queue_wait_us "
-        "(the hysteresis gap)");
   }
   return Status::OK();
 }
 
 // One published model snapshot (see server.h). `planner` is built against
-// `model` once at publication; Plan() is const, so every worker on this
-// version shares it without synchronization.
+// `model` (and its stamped Θ shard count) once at publication; Plan() is
+// const, so every worker on this version shares it without
+// synchronization.
 struct Server::VersionedModel {
   std::shared_ptr<const Model> model;
   BatchPlanner planner;
@@ -137,9 +126,9 @@ struct Server::VersionedModel {
   uint64_t fingerprint;
 
   VersionedModel(const Network* network, std::shared_ptr<const Model> m,
-                 size_t theta_shards, uint64_t v)
+                 uint64_t v)
       : model(std::move(m)),
-        planner(network, model.get(), theta_shards),
+        planner(network, model.get()),
         version(v),
         fingerprint(model->Fingerprint()) {}
 };
@@ -199,8 +188,9 @@ Result<std::unique_ptr<Server>> Server::Create(
   }
   GENCLUS_RETURN_IF_ERROR(options.Validate());
   GENCLUS_RETURN_IF_ERROR(model->ValidateAgainst(*network));
-  auto first = std::make_shared<const VersionedModel>(
-      network, std::move(model), options.theta_shards, /*v=*/1);
+  auto first =
+      std::make_shared<const VersionedModel>(network, std::move(model),
+                                             /*v=*/1);
   return std::unique_ptr<Server>(new Server(network, std::move(first),
                                             options));
 }
@@ -213,7 +203,6 @@ Server::Server(const Network* network,
       num_clusters_(first->model->num_clusters()),
       queue_(options.queue_capacity),
       current_model_(std::move(first)),
-      current_iterations_(options.inference_iterations),
       batch_size_histogram_(options.max_batch + 1, 0) {
   size_t num_workers = options_.num_workers;
   if (num_workers == 0) {
@@ -263,8 +252,8 @@ Status Server::SwapModel(std::shared_ptr<const Model> model) {
   // Build the snapshot (planner + fingerprint — the expensive part)
   // outside the lock; only version assignment and publication are
   // serialized.
-  auto replacement = std::make_shared<VersionedModel>(
-      network_, std::move(model), options_.theta_shards, /*v=*/0);
+  auto replacement =
+      std::make_shared<VersionedModel>(network_, std::move(model), /*v=*/0);
   {
     MutexLock lock(model_mutex_);
     replacement->version = current_model_->version + 1;
@@ -292,58 +281,9 @@ Deadline Server::EffectiveDeadline(Deadline deadline) const {
   return Deadline::Infinite();
 }
 
-double Server::PredictedQueueWaitMicros() const {
-  return std::bit_cast<double>(
-      queue_wait_ewma_bits_.load(std::memory_order_relaxed));
-}
-
 double Server::PredictedExecMicros() const {
   return std::bit_cast<double>(
       exec_ewma_bits_.load(std::memory_order_relaxed));
-}
-
-Status Server::CheckDeadlineAdmissible(
-    const Deadline& deadline,
-    std::chrono::steady_clock::time_point now) const {
-  if (deadline.is_infinite()) return Status::OK();
-  if (deadline.Expired(now)) {
-    return Status::DeadlineExceeded("deadline already expired at submit");
-  }
-  if (!options_.cost_based_rejection) return Status::OK();
-  // Predicted service time = expected queue wait + expected batch
-  // execution; a request whose remaining budget is smaller than that is
-  // near-certain to be shed at dequeue anyway, so reject it before it
-  // occupies a queue slot and delays requests that CAN meet theirs.
-  const double predicted_us =
-      PredictedQueueWaitMicros() + PredictedExecMicros();
-  const int64_t remaining_us = deadline.RemainingMicros(now);
-  if (predicted_us > static_cast<double>(remaining_us)) {
-    return Status::DeadlineExceeded(
-        StrFormat("predicted service time %.0fus exceeds remaining "
-                  "deadline budget %lldus",
-                  predicted_us, static_cast<long long>(remaining_us)));
-  }
-  return Status::OK();
-}
-
-void Server::UpdateDegradation(double queue_wait_ewma_us) {
-  if (options_.degrade_queue_wait_us <= 0) return;
-  const double enter = static_cast<double>(options_.degrade_queue_wait_us);
-  const double exit = options_.recover_queue_wait_us > 0
-                          ? static_cast<double>(options_.recover_queue_wait_us)
-                          : enter / 4.0;
-  size_t current = current_iterations_.load(std::memory_order_relaxed);
-  if (queue_wait_ewma_us >= enter &&
-      current > options_.min_inference_iterations) {
-    // CAS, not a store: concurrent workers observing the same overload
-    // step the sweep count by at most one per observation.
-    current_iterations_.compare_exchange_strong(current, current - 1,
-                                                std::memory_order_relaxed);
-  } else if (queue_wait_ewma_us <= exit &&
-             current < options_.inference_iterations) {
-    current_iterations_.compare_exchange_strong(current, current + 1,
-                                                std::memory_order_relaxed);
-  }
 }
 
 bool Server::Enqueue(Request request, Status* rejection) {
@@ -415,15 +355,15 @@ std::future<InferenceResult> Server::SubmitBatch(
   const Deadline effective = EffectiveDeadline(deadline);
   const auto now = std::chrono::steady_clock::now();
   // One admission verdict for the whole batch: every query carries the
-  // same deadline, and the prediction would not move between iterations.
+  // same deadline.
   const Status admission = CheckDeadlineAdmissible(effective, now);
   for (size_t i = 0; i < n; ++i) {
     if (!admission.ok()) {
       deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
       CompleteCollectorSlot(*collector, i, admission,
                             /*membership=*/nullptr, num_clusters,
-                            kNoHardLabel, /*degraded=*/false,
-                            /*model_version=*/0, 0, 0, 0.0, 0.0);
+                            kNoHardLabel, /*model_version=*/0, 0, 0, 0.0,
+                            0.0);
       continue;
     }
     Request request;
@@ -441,8 +381,8 @@ std::future<InferenceResult> Server::SubmitBatch(
       // resolves.
       CompleteCollectorSlot(*collector, i, std::move(rejection),
                             /*membership=*/nullptr, num_clusters,
-                            kNoHardLabel, /*degraded=*/false,
-                            /*model_version=*/0, 0, 0, 0.0, 0.0);
+                            kNoHardLabel, /*model_version=*/0, 0, 0, 0.0,
+                            0.0);
     }
   }
   return future;
@@ -451,7 +391,7 @@ std::future<InferenceResult> Server::SubmitBatch(
 void Server::CompleteCollectorSlot(BatchCollector& collector, size_t slot,
                                    Status status, const double* membership,
                                    size_t num_clusters, uint32_t hard_label,
-                                   bool degraded, uint64_t model_version,
+                                   uint64_t model_version,
                                    size_t num_links, size_t num_observations,
                                    double plan_share_seconds,
                                    double exec_share_seconds) {
@@ -471,7 +411,6 @@ void Server::CompleteCollectorSlot(BatchCollector& collector, size_t slot,
       collector.result.report.valid_queries += 1;
       collector.result.report.total_links += num_links;
       collector.result.report.total_observations += num_observations;
-      if (degraded) collector.result.report.degraded_queries += 1;
     }
     collector.result.report.plan_seconds += plan_share_seconds;
     collector.result.report.exec_seconds += exec_share_seconds;
@@ -484,7 +423,7 @@ void Server::CompleteCollectorSlot(BatchCollector& collector, size_t slot,
 }
 
 void Server::Deliver(Request& request, const InferenceResult& result,
-                     size_t row, bool degraded, uint64_t model_version,
+                     size_t row, uint64_t model_version,
                      double plan_share_seconds, double exec_share_seconds,
                      std::chrono::steady_clock::time_point dequeued_at,
                      std::chrono::steady_clock::time_point now) {
@@ -493,14 +432,12 @@ void Server::Deliver(Request& request, const InferenceResult& result,
   // pairs with the acquire load in Stats.
   completed_.fetch_add(1, std::memory_order_release);
   const Status& status = result.statuses[row];
-  const bool mark_degraded = degraded && status.ok();
-  if (mark_degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
   const size_t num_clusters = result.memberships.cols();
   if (request.collector != nullptr) {
     CompleteCollectorSlot(
         *request.collector, request.slot, status,
         status.ok() ? result.memberships.Row(row) : nullptr, num_clusters,
-        result.hard_labels[row], mark_degraded, model_version,
+        result.hard_labels[row], model_version,
         request.num_links, request.num_observations, plan_share_seconds,
         exec_share_seconds);
   } else {
@@ -511,7 +448,6 @@ void Server::Deliver(Request& request, const InferenceResult& result,
                                result.memberships.Row(row) + num_clusters);
     }
     answer.hard_label = result.hard_labels[row];
-    answer.degraded = mark_degraded;
     answer.queue_seconds = SecondsBetween(request.enqueued_at, dequeued_at);
     answer.total_seconds = SecondsBetween(request.enqueued_at, now);
     answer.model_version = model_version;
@@ -528,9 +464,8 @@ void Server::Shed(Request& request,
   if (request.collector != nullptr) {
     CompleteCollectorSlot(*request.collector, request.slot,
                           std::move(status), /*membership=*/nullptr,
-                          num_clusters_, kNoHardLabel,
-                          /*degraded=*/false, /*model_version=*/0, 0, 0,
-                          0.0, 0.0);
+                          num_clusters_, kNoHardLabel, /*model_version=*/0,
+                          0, 0, 0.0, 0.0);
   } else {
     QueryResult answer;
     answer.status = std::move(status);
@@ -547,9 +482,8 @@ void Server::Fail(Request& request, Status status,
   if (request.collector != nullptr) {
     CompleteCollectorSlot(*request.collector, request.slot,
                           std::move(status), /*membership=*/nullptr,
-                          num_clusters_, kNoHardLabel,
-                          /*degraded=*/false, /*model_version=*/0, 0, 0,
-                          0.0, 0.0);
+                          num_clusters_, kNoHardLabel, /*model_version=*/0,
+                          0, 0, 0.0, 0.0);
   } else {
     QueryResult answer;
     answer.status = std::move(status);
@@ -562,7 +496,8 @@ void Server::Fail(Request& request, Status status,
 // members whose deadline already passed, plan + execute the rest on this
 // worker's own session (own ServeWorkspace — workers never share mutable
 // execution state, so micro-batches run concurrently), deliver per-query
-// answers, record stats and feed the admission/degradation controllers.
+// answers and record stats (including the execution EWMA the linger cap
+// and the shed pass read).
 // The session runs its batch serially: with num_workers sessions in
 // flight the tier already saturates the cores batch-wise, and serial
 // execution keeps per-batch latency deterministic. An execution exception
@@ -598,9 +533,6 @@ void Server::WorkerLoop() {
   };
   while (queue_.PopBatch(&batch, options_.max_batch, linger, linger_cap) >
          0) {
-    // Delay-only site: tests wedge a worker here to force queue-wait
-    // buildup (cost-based rejection, degradation entry).
-    GENCLUS_FAILPOINT("server.worker_batch");
     const auto dequeued_at = std::chrono::steady_clock::now();
     if (cancel_pending_.load(std::memory_order_relaxed)) {
       for (Request& request : batch) {
@@ -617,21 +549,15 @@ void Server::WorkerLoop() {
         static_cast<int64_t>(PredictedExecMicros()));
     live.clear();
     queue_waits_us.clear();
-    double max_queue_wait_us = 0.0;
     for (Request& request : batch) {
-      const double wait_us =
-          SecondsBetween(request.enqueued_at, dequeued_at) * 1e6;
-      queue_waits_us.push_back(wait_us);
-      max_queue_wait_us = std::max(max_queue_wait_us, wait_us);
+      queue_waits_us.push_back(
+          SecondsBetween(request.enqueued_at, dequeued_at) * 1e6);
       if (request.deadline.Expired(dequeued_at + exec_budget)) {
         Shed(request, dequeued_at);
       } else {
         live.push_back(std::move(request));
       }
     }
-    const size_t iterations =
-        current_iterations_.load(std::memory_order_relaxed);
-    const bool degraded = iterations < options_.inference_iterations;
     InferPlan plan;
     InferenceResult result;
     Status exec_error;
@@ -650,9 +576,7 @@ void Server::WorkerLoop() {
                             throw std::runtime_error(
                                 "injected server.swap_model rebuild "
                                 "failure"));
-          session.emplace(current->model.get(), /*pool=*/nullptr,
-                          options_.inference_iterations,
-                          options_.theta_floor);
+          session.emplace(current->model.get(), /*pool=*/nullptr);
           pinned = std::move(current);
         } catch (const std::exception& e) {
           exec_error = Status::Internal(StrFormat(
@@ -664,7 +588,6 @@ void Server::WorkerLoop() {
       }
       if (exec_error.ok()) {
         batch_model_version = pinned->version;
-        session->set_iterations(iterations);
         queries.clear();
         queries.reserve(live.size());
         for (Request& request : live) {
@@ -691,17 +614,12 @@ void Server::WorkerLoop() {
     const bool executed = !live.empty() && exec_error.ok();
     if (executed) batches_.fetch_add(1, std::memory_order_relaxed);
     // Stats first, delivery second: the moment a future resolves, the
-    // histogram, rings and EWMAs already cover its micro-batch. The
-    // queue-wait EWMA folds every dequeue (even all-shed batches) so the
-    // admission controller sees the overload that caused the shedding.
-    double queue_wait_ewma_us = 0.0;
+    // histogram, rings and EWMA already cover its micro-batch.
     {
       MutexLock lock(stats_mutex_);
       for (const double wait_us : queue_waits_us) {
         queue_wait_us_.Add(wait_us);
       }
-      queue_wait_ewma_us =
-          FoldEwma(&queue_wait_ewma_bits_, max_queue_wait_us);
       if (executed) {
         batch_size_histogram_[live.size()] += 1;
         plan_us_.Add(plan.plan_seconds * 1e6);
@@ -713,7 +631,6 @@ void Server::WorkerLoop() {
         }
       }
     }
-    UpdateDegradation(queue_wait_ewma_us);
     if (live.empty()) continue;
     if (!exec_error.ok()) {
       for (Request& request : live) {
@@ -727,7 +644,7 @@ void Server::WorkerLoop() {
     const double plan_share = plan.plan_seconds * share;
     const double exec_share = result.report.exec_seconds * share;
     for (size_t i = 0; i < live.size(); ++i) {
-      Deliver(live[i], result, i, degraded, batch_model_version, plan_share,
+      Deliver(live[i], result, i, batch_model_version, plan_share,
               exec_share, dequeued_at, done_at);
     }
   }
@@ -746,11 +663,7 @@ ServerStats Server::Stats() const {
   out.rejected = rejected_.load(std::memory_order_relaxed);
   out.deadline_rejected =
       deadline_rejected_.load(std::memory_order_relaxed);
-  out.degraded = degraded_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
-  out.current_inference_iterations =
-      current_iterations_.load(std::memory_order_relaxed);
-  out.predicted_queue_wait_us = PredictedQueueWaitMicros();
   out.predicted_exec_us = PredictedExecMicros();
   out.queue_depth = queue_.size();
   out.queue_high_water = queue_.high_water();

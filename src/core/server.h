@@ -32,22 +32,20 @@
 //     query through the Submit/SubmitBatch overloads or defaulted from
 //     ServerOptions::default_timeout_us. Infinite by default: a
 //     deadline-free caller pays one is_infinite() branch and nothing else.
+//   * Submit rejects a request whose deadline has already expired with
+//     kDeadlineExceeded; every other request is admitted while the queue
+//     has room (queue full => kResourceExhausted).
 //   * Shed at dequeue: a worker drops requests whose deadline has expired
-//     (or would expire during the predicted execution) instead of doing
-//     work nobody can use. Shed futures resolve with kDeadlineExceeded.
+//     (or would expire during the predicted execution, an EWMA of batch
+//     execution time) instead of doing work nobody can use. Shed futures
+//     resolve with kDeadlineExceeded.
 //   * Linger cap: a tight-deadline request caps its micro-batch's
 //     coalescing linger so the batch starts executing while that request
 //     can still meet its budget.
-//   * Cost-based early rejection: when queue-wait + execution EWMAs
-//     predict an arriving request cannot meet its deadline, Submit
-//     rejects it immediately with kDeadlineExceeded — the cheapest
-//     possible shed, before the queue ever holds it.
-//   * Graceful degradation: under sustained overload (queue-wait EWMA
-//     above degrade_queue_wait_us) workers step inference_iterations down
-//     toward min_inference_iterations, trading per-answer sweep count for
-//     throughput; answers computed with fewer sweeps are flagged
-//     (QueryResult::degraded, ServerStats::degraded) and the tier steps
-//     back up once the queue-wait EWMA falls below the recovery threshold.
+//
+// Overload never changes an answer: every query runs the full
+// ServeDefaults sweep count over the model's own Θ shard count, so each
+// delivered membership is bitwise equal to InferMembership.
 //
 // Every admitted request resolves with a definite outcome — completed,
 // kDeadlineExceeded, kCancelled, or kInternal (a worker that caught an
@@ -99,7 +97,9 @@
 
 namespace genclus {
 
-/// Admission and execution knobs of the serving tier.
+/// Admission and execution knobs of the serving tier. The fold-in itself
+/// has none: sweeps and floor are ServeDefaults, the Θ shard count is the
+/// served model's `theta_shards`.
 struct ServerOptions {
   /// Worker threads, each owning one InferSession + ServeWorkspace.
   /// 0 = hardware concurrency.
@@ -119,35 +119,10 @@ struct ServerOptions {
   /// the workers join (pending futures complete with real answers);
   /// false fails still-queued requests fast with kCancelled.
   bool drain_on_stop = true;
-  /// Fixed-point sweeps per query (see InferMembership).
-  size_t inference_iterations = ServeDefaults::kInferenceIterations;
-  /// Floor applied to inferred membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
-  /// Θ column-shard count for the batch link term. 0 (default) adopts the
-  /// model's stamped `theta_shards`; any other value overrides it
-  /// (clamped like ShardPartition::Resolve). Served memberships are
-  /// bitwise identical for every choice.
-  size_t theta_shards = 0;
   /// Default per-request deadline budget in microseconds, applied to
   /// submissions that do not carry an explicit Deadline. 0 = no default
   /// (deadline-free requests never expire).
   int64_t default_timeout_us = 0;
-  /// Reject a deadline-carrying request at Submit when the queue-wait +
-  /// execution EWMAs predict it cannot meet its deadline. The cheapest
-  /// shed: the request never occupies a queue slot.
-  bool cost_based_rejection = true;
-  /// Graceful degradation entry threshold: once the queue-wait EWMA
-  /// exceeds this many microseconds, workers step their fixed-point
-  /// sweep count down (one per micro-batch) toward
-  /// min_inference_iterations. 0 = degradation disabled.
-  int64_t degrade_queue_wait_us = 0;
-  /// Recovery threshold: once the queue-wait EWMA falls below this,
-  /// workers step the sweep count back up toward inference_iterations.
-  /// 0 = degrade_queue_wait_us / 4. Must be below the entry threshold —
-  /// the hysteresis gap prevents oscillation at the boundary.
-  int64_t recover_queue_wait_us = 0;
-  /// Sweep-count floor degradation never goes below.
-  size_t min_inference_iterations = 2;
 
   Status Validate() const;
 };
@@ -157,13 +132,9 @@ struct QueryResult {
   /// Validation/admission outcome; membership is meaningful only when ok.
   Status status;
   /// Membership over the model's clusters — bitwise identical to what
-  /// Engine::InferBatch returns for the same query, unless `degraded`.
+  /// Engine::InferBatch returns for the same query.
   std::vector<double> membership;
   uint32_t hard_label = kNoHardLabel;
-  /// True when the answer was computed with fewer fixed-point sweeps
-  /// than ServerOptions::inference_iterations because the tier was in
-  /// graceful-degradation mode.
-  bool degraded = false;
   /// Seconds the query waited in the queue before a worker dequeued it.
   double queue_seconds = 0.0;
   /// Seconds from admission to completion (queue + plan + execute).
@@ -194,7 +165,7 @@ struct ServerStats {
   /// server was stopping.
   size_t rejected = 0;
   /// Requests rejected at admission because their deadline had already
-  /// expired or cost-based rejection predicted they could not meet it.
+  /// expired.
   size_t deadline_rejected = 0;
   /// Requests whose result has been delivered (including kInternal
   /// failures from a caught execution exception).
@@ -204,16 +175,14 @@ struct ServerStats {
   /// Admitted requests shed at dequeue with kDeadlineExceeded because
   /// their deadline had expired (or would expire during execution).
   size_t deadline_shed = 0;
-  /// Queries answered in graceful-degradation mode (fewer sweeps).
+  /// Always 0: every answer runs the full sweep count. Kept only so
+  /// existing readers still compile; it goes with the next change to
+  /// perfbench, which reads it.
   size_t degraded = 0;
   /// Micro-batches executed.
   size_t batches = 0;
-  /// Fixed-point sweep count workers are currently using — equals
-  /// ServerOptions::inference_iterations except in degradation mode.
-  size_t current_inference_iterations = 0;
-  /// Admission-control predictions (EWMAs, microseconds): what cost-based
-  /// rejection currently assumes a new request will wait / cost.
-  double predicted_queue_wait_us = 0.0;
+  /// EWMA of micro-batch execution time (microseconds): what the linger
+  /// cap and shed-at-dequeue currently assume a batch costs.
   double predicted_exec_us = 0.0;
   /// Queue depth right now and the highest depth ever observed.
   size_t queue_depth = 0;
@@ -266,9 +235,9 @@ class Server {
   /// Admits one query. Returns the future carrying its eventual answer,
   /// or — immediately, never blocking — kResourceExhausted when the queue
   /// is at capacity / kFailedPrecondition when the server is stopped /
-  /// kDeadlineExceeded when the deadline has expired or cost-based
-  /// rejection predicts it cannot be met. The no-deadline overload
-  /// applies ServerOptions::default_timeout_us (infinite when 0).
+  /// kDeadlineExceeded when the deadline has already expired. The
+  /// no-deadline overload applies ServerOptions::default_timeout_us
+  /// (infinite when 0).
   Result<std::future<QueryResult>> Submit(NewObjectQuery query);
   Result<std::future<QueryResult>> Submit(NewObjectQuery query,
                                           Deadline deadline);
@@ -351,23 +320,13 @@ class Server {
   // The deadline a submission actually carries: the explicit one, or the
   // options default when the explicit one is infinite.
   Deadline EffectiveDeadline(Deadline deadline) const;
-  // Deadline admission: kDeadlineExceeded when already expired, or when
-  // cost_based_rejection's EWMA prediction says the budget cannot be met.
-  Status CheckDeadlineAdmissible(
-      const Deadline& deadline,
-      std::chrono::steady_clock::time_point now) const;
-  // Lock-free reads of the admission-prediction EWMAs (microseconds).
-  double PredictedQueueWaitMicros() const;
+  // Lock-free read of the batch-execution EWMA (microseconds).
   double PredictedExecMicros() const;
-  // Steps current_iterations_ one sweep down (overload) or up (recovery)
-  // per executed micro-batch, between min_inference_iterations and
-  // inference_iterations, with the configured hysteresis gap.
-  void UpdateDegradation(double queue_wait_ewma_us);
 
   bool Enqueue(Request request, Status* rejection);
   void WorkerLoop();
   void Deliver(Request& request, const InferenceResult& result, size_t row,
-               bool degraded, uint64_t model_version,
+               uint64_t model_version,
                double plan_share_seconds, double exec_share_seconds,
                std::chrono::steady_clock::time_point dequeued_at,
                std::chrono::steady_clock::time_point now);
@@ -381,7 +340,7 @@ class Server {
   static void CompleteCollectorSlot(BatchCollector& collector, size_t slot,
                                     Status status, const double* membership,
                                     size_t num_clusters, uint32_t hard_label,
-                                    bool degraded, uint64_t model_version,
+                                    uint64_t model_version,
                                     size_t num_links, size_t num_observations,
                                     double plan_share_seconds,
                                     double exec_share_seconds);
@@ -419,14 +378,11 @@ class Server {
   std::atomic<size_t> completed_{0};
   std::atomic<size_t> cancelled_{0};
   std::atomic<size_t> deadline_shed_{0};
-  std::atomic<size_t> degraded_{0};
   std::atomic<size_t> batches_{0};
-  // Degradation controller state: the sweep count workers use right now.
-  std::atomic<size_t> current_iterations_;
-  // Admission-prediction EWMAs, published as bit-cast doubles so Submit
-  // reads them lock-free; written by workers under stats_mutex_ (the
-  // mutex serializes read-modify-write, the atomic publishes the value).
-  std::atomic<uint64_t> queue_wait_ewma_bits_{0};
+  // Batch-execution EWMA, published as bit-cast doubles so the linger cap
+  // and the shed pass read it lock-free; written by workers under
+  // stats_mutex_ (the mutex serializes read-modify-write, the atomic
+  // publishes the value).
   std::atomic<uint64_t> exec_ewma_bits_{0};
   struct SampleRing {
     std::vector<double> samples;  // microseconds

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/em.h"
+#include "prob/simplex.h"
 
 namespace genclus {
 
@@ -18,28 +19,6 @@ namespace {
 
 // Jacobi refinement rounds ApplyUpdates runs over the touched node set.
 constexpr size_t kUpdateRounds = 2;
-
-// Same normalization rule as the EM sweep and the serving sweep: project
-// onto the simplex with the theta floor, uniform fallback for all-zero
-// mixes.
-void NormalizeRow(const double* mix, size_t num_clusters, double floor,
-                  double* out) {
-  double total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) total += mix[k];
-  if (total <= 0.0 || !std::isfinite(total)) {
-    const double u = 1.0 / static_cast<double>(num_clusters);
-    for (size_t k = 0; k < num_clusters; ++k) out[k] = u;
-    return;
-  }
-  double clamped_total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) {
-    double val = mix[k] / total;
-    if (val < floor) val = floor;
-    out[k] = val;
-    clamped_total += val;
-  }
-  for (size_t k = 0; k < num_clusters; ++k) out[k] /= clamped_total;
-}
 
 // Buffers of FoldInRow, reused across rows.
 struct FoldInScratch {
@@ -142,7 +121,7 @@ void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
       }
     }
     double delta = 0.0;
-    NormalizeRow(mix.data(), num_clusters, theta_floor, mix.data());
+    NormalizeOntoSimplex(mix.data(), num_clusters, theta_floor, mix.data());
     for (size_t k = 0; k < num_clusters; ++k) {
       delta = std::max(delta, std::fabs(mix[k] - theta_v[k]));
       theta_v[k] = mix[k];

@@ -57,6 +57,31 @@ inline void ClampToSimplex(double* v, size_t n,
 }
 void ClampToSimplex(std::vector<double>* v, double floor = kDefaultThetaFloor);
 
+/// Writes `mix` normalized onto the simplex into `out` (aliasing allowed):
+/// divide by the total, clamp each component to at least `floor`, divide
+/// by the clamped total. An all-zero or non-finite mix (an isolated,
+/// attribute-free node) becomes uniform. The one normalization rule of the
+/// training EM sweep and the streaming-update fold-in, so both apply
+/// identical arithmetic.
+inline void NormalizeOntoSimplex(const double* mix, size_t n, double floor,
+                                 double* out) {
+  double total = 0.0;
+  for (size_t k = 0; k < n; ++k) total += mix[k];
+  if (total <= 0.0 || !std::isfinite(total)) {
+    const double u = 1.0 / static_cast<double>(n);
+    for (size_t k = 0; k < n; ++k) out[k] = u;
+    return;
+  }
+  double clamped_total = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    double val = mix[k] / total;
+    if (val < floor) val = floor;
+    out[k] = val;
+    clamped_total += val;
+  }
+  for (size_t k = 0; k < n; ++k) out[k] /= clamped_total;
+}
+
 /// True if v sums to 1 within `tol` and every component is in [0, 1].
 bool IsOnSimplex(const std::vector<double>& v, double tol = 1e-9);
 

@@ -120,17 +120,6 @@ TEST_F(EngineFixture, CreateRejectsMismatchedModel) {
       Engine::Create(&fixture_.dataset.network, missing_gamma).ok());
 }
 
-TEST_F(EngineFixture, CreateRejectsBadOptions) {
-  EngineOptions options;
-  options.inference_iterations = 0;
-  EXPECT_FALSE(
-      Engine::Create(&fixture_.dataset.network, model_, options).ok());
-  options = EngineOptions();
-  options.theta_floor = 0.0;
-  EXPECT_FALSE(
-      Engine::Create(&fixture_.dataset.network, model_, options).ok());
-}
-
 TEST_F(EngineFixture, InferBatchMatchesPerObjectInferMembership) {
   auto engine = MakeEngine(2);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();

@@ -245,9 +245,9 @@ TEST_F(ServeBatchFixture, PlanStableSortsEachRowByTargetColumn) {
 }
 
 TEST_F(ServeBatchFixture, ExecutionIsBitwiseInvariantToThetaShardCount) {
-  // The same batch served through 1, 2 and 4 Θ column shards (and a
-  // sharded planner over an auto-stamped model) must produce bitwise
-  // identical memberships — the per-shard link terms merge in ascending
+  // The same batch served through 1, 2 and 4 Θ column shards (each
+  // stamped on a copy of the model) must produce bitwise identical
+  // memberships — the per-shard link terms merge in ascending
   // shard order, replaying the monolithic accumulation chain.
   std::vector<NewObjectQuery> queries(9);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -263,11 +263,11 @@ TEST_F(ServeBatchFixture, ExecutionIsBitwiseInvariantToThetaShardCount) {
   }
   Matrix baseline;
   for (size_t shards : {1, 2, 4}) {
-    EngineOptions options;
-    options.num_threads = 2;
-    options.theta_shards = shards;
-    auto engine =
-        Engine::Create(&fixture_->dataset.network, *model_, options);
+    // Serving adopts the model's stamped shard count.
+    Model sharded = *model_;
+    sharded.theta_shards = shards;
+    auto engine = Engine::Create(&fixture_->dataset.network,
+                                 std::move(sharded), {.num_threads = 2});
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     const InferenceResult result = engine->Execute(engine->Plan(queries));
     for (size_t i = 0; i < queries.size(); ++i) {

@@ -377,15 +377,21 @@ TEST_F(ServerTest, AnswersBitwiseInvariantToThetaShardsAndWorkers) {
   // Served answers must be bitwise identical across every Θ shard count x
   // worker count combination: the per-shard link terms merge in ascending
   // shard order, replaying the monolithic accumulation chain exactly, and
-  // each query's sweep is independent of how micro-batches form.
+  // each query's sweep is independent of how micro-batches form. The
+  // server serves the model's own shard count, so each count is stamped
+  // on a copy of the model.
   QueryPool pool = MakeQueryPool(10);
   std::vector<QueryResult> baseline;
   for (size_t shards : {1, 2, 4}) {
+    Model sharded = *model_;
+    sharded.theta_shards = shards;
     for (size_t workers : {1, 2, 8}) {
       ServerOptions options;
       options.num_workers = workers;
-      options.theta_shards = shards;
-      auto server = MakeServer(options);
+      auto created =
+          Server::Create(&fixture_->dataset.network, sharded, options);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      std::unique_ptr<Server> server = std::move(created).value();
       std::vector<std::future<QueryResult>> futures;
       for (const NewObjectQuery& q : pool.queries) {
         auto submitted = server->Submit(q);
