@@ -48,6 +48,7 @@
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -167,14 +168,16 @@ int main(int argc, char** argv) {
                  fit.status().ToString().c_str());
     return 1;
   }
-  const Model model = std::move(fit).value().model;
+  // One model, shared by both servers below.
+  const auto model =
+      std::make_shared<const Model>(std::move(fit).value().model);
 
   constexpr size_t kPoolSize = 64;
   const std::vector<NewObjectQuery> pool =
       MakeQueries(*data, wconfig, kPoolSize);
   std::vector<std::vector<double>> reference(kPoolSize);
   for (size_t i = 0; i < kPoolSize; ++i) {
-    auto direct = InferMembership(data->dataset.network, model,
+    auto direct = InferMembership(data->dataset.network, *model,
                                   pool[i].links, pool[i].observations);
     if (!direct.ok()) {
       std::fprintf(stderr, "InferMembership failed: %s\n",
@@ -199,7 +202,7 @@ int main(int argc, char** argv) {
   {
     EngineOptions options;
     options.num_threads = 1;
-    auto engine = Engine::Create(&data->dataset.network, model, options);
+    auto engine = Engine::Create(&data->dataset.network, *model, options);
     if (!engine.ok()) {
       std::fprintf(stderr, "Engine::Create failed: %s\n",
                    engine.status().ToString().c_str());
@@ -232,7 +235,7 @@ int main(int argc, char** argv) {
   server_options.max_batch = 64;
   server_options.max_wait_us = 200;
   auto server_or =
-      Server::Create(&data->dataset.network, &model, server_options);
+      Server::Create(&data->dataset.network, model, server_options);
   if (!server_or.ok()) {
     std::fprintf(stderr, "Server::Create failed: %s\n",
                  server_or.status().ToString().c_str());
@@ -360,7 +363,7 @@ int main(int argc, char** argv) {
     overload_options.default_timeout_us =
         static_cast<int64_t>(deadline_budget_us);
     auto overload_server_or =
-        Server::Create(&data->dataset.network, &model, overload_options);
+        Server::Create(&data->dataset.network, model, overload_options);
     if (!overload_server_or.ok()) {
       std::fprintf(stderr, "Server::Create (overload) failed: %s\n",
                    overload_server_or.status().ToString().c_str());

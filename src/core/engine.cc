@@ -278,12 +278,6 @@ InferenceResult Engine::Execute(const InferPlan& plan) const {
   return result;
 }
 
-Result<std::vector<double>> Engine::Infer(const NewObjectQuery& query) const {
-  InferenceResult result = Execute(Plan(std::span(&query, 1)));
-  if (!result.statuses[0].ok()) return result.statuses[0];
-  return result.memberships.RowVector(0);
-}
-
 std::vector<Result<std::vector<double>>> Engine::InferBatch(
     std::span<const NewObjectQuery> queries) const {
   InferenceResult result = Execute(Plan(queries));

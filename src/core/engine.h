@@ -22,9 +22,8 @@
 // Execute calls run in parallel, each on its own pooled InferSession
 // (own ServeWorkspace) — there is no global execution mutex. Callers that
 // want per-query submission with bounded-queue backpressure run the
-// micro-batching serving tier (core/server.h) directly.
-// Infer/InferBatch remain as thin wrappers over a one-query / one-shot
-// plan.
+// micro-batching serving tier (core/server.h) directly. InferBatch
+// remains as a thin wrapper over a one-shot plan.
 #pragma once
 
 #include <memory>
@@ -177,9 +176,6 @@ class Engine {
   /// results are bitwise identical to per-query InferMembership for any
   /// thread count.
   InferenceResult Execute(const InferPlan& plan) const;
-
-  /// Answers one fold-in query — a thin wrapper over a one-query plan.
-  Result<std::vector<double>> Infer(const NewObjectQuery& query) const;
 
   /// Answers a batch of queries — a thin wrapper over a one-shot plan.
   /// Slot i holds query i's membership vector or its own error status.

@@ -49,11 +49,9 @@ Status ValidateLink(const Network& network, const NewObjectLink& link) {
   return Status::OK();
 }
 
-// First-error validation of one query, in the reference path's order:
-// links before observations. Used by InferMembership; BatchPlanner::Plan
-// fuses the SAME per-item checks and ordering into its assembly loop, so
-// a query fails with the same status on either path — keep the two in
-// sync (serve_batch_test pins the status equality).
+// First-error validation of one query: links before observations. The
+// only query check — InferMembership and BatchPlanner::Plan both call it,
+// so a query fails with the same status on either path.
 Status ValidateQuery(const Network& network, const Model& model,
                      const std::vector<NewObjectLink>& links,
                      const std::vector<NewObjectObservation>& observations) {
@@ -172,36 +170,22 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
   plan.observation_offsets.push_back(0);
   for (size_t i = 0; i < queries.size(); ++i) {
     const NewObjectQuery& query = queries[i];
-    if (!model_status_.ok()) {
-      plan.statuses.push_back(model_status_);
+    Status status =
+        model_status_.ok()
+            ? ValidateQuery(*network_, *model_, query.links,
+                            query.observations)
+            : model_status_;
+    if (!status.ok()) {
+      plan.statuses.push_back(std::move(status));
       continue;
     }
-    // Fused validate + assemble, one pass per query: links then
-    // observations, first error wins — the same order ValidateQuery and
-    // the reference path check in. On error the row's partial CSR output
-    // is rolled back, so invalid queries leave no trace in the batch.
     const size_t links_start = plan.link_cols.size();
-    Status status;
     for (const NewObjectLink& link : query.links) {
-      status = ValidateLink(*network_, link);
-      if (!status.ok()) break;
       plan.link_cols.push_back(link.target);
       // Fold gamma in here: the SpMM pass then runs with coeff 1.0 and
       // each row accumulates gamma * w * theta_target in the query's own
       // link order — exactly the reference path's sum.
       plan.link_values.push_back(model_->gamma[link.type] * link.weight);
-    }
-    if (status.ok()) {
-      for (const NewObjectObservation& obs : query.observations) {
-        status = obs.Validate(*model_);
-        if (!status.ok()) break;
-      }
-    }
-    if (!status.ok()) {
-      plan.link_cols.resize(links_start);
-      plan.link_values.resize(links_start);
-      plan.statuses.push_back(std::move(status));
-      continue;
     }
     // Canonicalize the kept row: stable-sort its non-zeros by target
     // column. This is the accumulation order the reference path uses too,

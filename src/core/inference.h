@@ -32,8 +32,9 @@
 // one answer per (model, query).
 //
 // Engine (core/engine.h) wraps the pipeline behind Plan/Execute and keeps
-// Infer/InferBatch as thin wrappers over a one-shot plan; Server
-// (core/server.h) runs it behind a bounded micro-batching request queue.
+// InferBatch as a thin wrapper over a one-shot plan; Server
+// (core/server.h) runs it behind a bounded micro-batching request queue
+// and answers each query through its own QueryResult.
 #pragma once
 
 #include <cstdint>
@@ -195,12 +196,6 @@ struct InferenceResult {
   std::vector<Status> statuses;
   Matrix memberships;
   std::vector<uint32_t> hard_labels;
-  /// Version of the model that answered each query — filled only by the
-  /// serving tier's collector path (core/server.h), where answers of one
-  /// logical batch can straddle a SwapModel; empty on the direct
-  /// Engine/InferSession paths. Slot i is 0 for queries that failed
-  /// before execution.
-  std::vector<uint64_t> model_versions;
   ServeReport report;
 
   size_t size() const { return statuses.size(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -89,6 +88,11 @@ void FoldEwma(std::atomic<uint64_t>* bits, double sample_us) {
   bits->store(std::bit_cast<uint64_t>(next), std::memory_order_relaxed);
 }
 
+// Largest accepted ServerOptions::max_batch. The batch-size histogram
+// holds max_batch + 1 counters, so an unbounded value would overflow its
+// size or fail the allocation; this is far above serve_bench's knee (64).
+constexpr size_t kMaxBatchCeiling = 65536;
+
 // Deadline admission: only a deadline that has already expired is turned
 // away at Submit; everything else queues (or meets a full queue) and a
 // request that expires while queued is shed at dequeue.
@@ -106,8 +110,9 @@ Status ServerOptions::Validate() const {
   if (queue_capacity < 1) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (max_batch < 1) {
-    return Status::InvalidArgument("max_batch must be >= 1");
+  if (max_batch < 1 || max_batch > kMaxBatchCeiling) {
+    return Status::InvalidArgument(
+        StrFormat("max_batch must be in [1, %zu]", kMaxBatchCeiling));
   }
   if (default_timeout_us < 0) {
     return Status::InvalidArgument("default_timeout_us must be >= 0");
@@ -133,21 +138,6 @@ struct Server::VersionedModel {
         fingerprint(model->Fingerprint()) {}
 };
 
-// Whole-batch reassembly state. The result is preallocated at submit time
-// (zero membership rows, kNoHardLabel) and each completion fills its slot;
-// `remaining` counts down under `mutex` and the thread that takes it to
-// zero moves the result out (still under the lock) and fulfills the
-// promise after releasing it. Rejected slots count down too, so the batch
-// future always completes. The promise itself needs no guard: get_future
-// runs once before the collector is shared, and set_value runs once, on
-// the single thread that observed remaining hit zero.
-struct Server::BatchCollector {
-  Mutex mutex;
-  size_t remaining GENCLUS_GUARDED_BY(mutex) = 0;
-  InferenceResult result GENCLUS_GUARDED_BY(mutex);
-  std::promise<InferenceResult> promise;
-};
-
 void Server::SampleRing::Add(double us) {
   if (samples.size() < kMaxLatencySamples) {
     samples.push_back(us);
@@ -161,19 +151,6 @@ Result<std::unique_ptr<Server>> Server::Create(const Network* network,
                                                Model model,
                                                ServerOptions options) {
   return Create(network, std::make_shared<const Model>(std::move(model)),
-                options);
-}
-
-Result<std::unique_ptr<Server>> Server::Create(const Network* network,
-                                               const Model* model,
-                                               ServerOptions options) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("model must not be null");
-  }
-  // Non-owning shared_ptr: the caller keeps ownership (and the outlives
-  // contract); the server's snapshot machinery is oblivious either way.
-  return Create(network,
-                std::shared_ptr<const Model>(model, [](const Model*) {}),
                 options);
 }
 
@@ -241,8 +218,8 @@ Status Server::SwapModel(std::shared_ptr<const Model> model) {
   }
   // ValidateForServing, not ValidateAgainst: a refreshed model trained on
   // a grown dataset legitimately covers more nodes than the serving
-  // network. K is pinned because SubmitBatch preallocates K-wide result
-  // rows at admission, before knowing which model will answer.
+  // network. K is pinned so clients read hard labels in one cluster-id
+  // space across the swap.
   GENCLUS_RETURN_IF_ERROR(model->ValidateForServing(*network_));
   if (model->num_clusters() != num_clusters_) {
     return Status::InvalidArgument(StrFormat(
@@ -324,171 +301,46 @@ Result<std::future<QueryResult>> Server::Submit(NewObjectQuery query,
   return future;
 }
 
-std::future<InferenceResult> Server::SubmitBatch(
-    std::vector<NewObjectQuery> queries) {
-  return SubmitBatch(std::move(queries), Deadline::Infinite());
-}
-
-std::future<InferenceResult> Server::SubmitBatch(
-    std::vector<NewObjectQuery> queries, Deadline deadline) {
-  auto collector = std::make_shared<BatchCollector>();
-  const size_t n = queries.size();
-  const size_t num_clusters = num_clusters_;
-  InferenceResult empty_result;
-  {
-    // The collector is not shared yet, but its state is guarded — take
-    // the (uncontended) lock so the annotations hold unconditionally.
-    MutexLock lock(collector->mutex);
-    collector->remaining = n;
-    collector->result.statuses.assign(n, Status::OK());
-    collector->result.memberships = Matrix(n, num_clusters);
-    collector->result.hard_labels.assign(n, kNoHardLabel);
-    collector->result.model_versions.assign(n, 0);
-    collector->result.report.batch_size = n;
-    if (n == 0) empty_result = std::move(collector->result);
-  }
-  std::future<InferenceResult> future = collector->promise.get_future();
-  if (n == 0) {
-    collector->promise.set_value(std::move(empty_result));
-    return future;
-  }
-  const Deadline effective = EffectiveDeadline(deadline);
-  const auto now = std::chrono::steady_clock::now();
-  // One admission verdict for the whole batch: every query carries the
-  // same deadline.
-  const Status admission = CheckDeadlineAdmissible(effective, now);
-  for (size_t i = 0; i < n; ++i) {
-    if (!admission.ok()) {
-      deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
-      CompleteCollectorSlot(*collector, i, admission,
-                            /*membership=*/nullptr, num_clusters,
-                            kNoHardLabel, /*model_version=*/0, 0, 0, 0.0,
-                            0.0);
-      continue;
-    }
-    Request request;
-    request.query = std::move(queries[i]);
-    request.collector = collector;
-    request.slot = i;
-    request.num_links = request.query.links.size();
-    request.num_observations = request.query.observations.size();
-    request.deadline = effective;
-    request.enqueued_at = now;
-    Status rejection;
-    if (!Enqueue(std::move(request), &rejection)) {
-      // The request (and its collector reference) was dropped by the
-      // queue; complete the slot right here so the batch future still
-      // resolves.
-      CompleteCollectorSlot(*collector, i, std::move(rejection),
-                            /*membership=*/nullptr, num_clusters,
-                            kNoHardLabel, /*model_version=*/0, 0, 0, 0.0,
-                            0.0);
-    }
-  }
-  return future;
-}
-
-void Server::CompleteCollectorSlot(BatchCollector& collector, size_t slot,
-                                   Status status, const double* membership,
-                                   size_t num_clusters, uint32_t hard_label,
-                                   uint64_t model_version,
-                                   size_t num_links, size_t num_observations,
-                                   double plan_share_seconds,
-                                   double exec_share_seconds) {
-  bool last = false;
-  InferenceResult finished;
-  {
-    MutexLock lock(collector.mutex);
-    const bool ok = status.ok();
-    collector.result.statuses[slot] = std::move(status);
-    if (membership != nullptr) {
-      std::memcpy(collector.result.memberships.Row(slot), membership,
-                  num_clusters * sizeof(double));
-    }
-    collector.result.hard_labels[slot] = hard_label;
-    collector.result.model_versions[slot] = model_version;
-    if (ok) {
-      collector.result.report.valid_queries += 1;
-      collector.result.report.total_links += num_links;
-      collector.result.report.total_observations += num_observations;
-    }
-    collector.result.report.plan_seconds += plan_share_seconds;
-    collector.result.report.exec_seconds += exec_share_seconds;
-    last = (--collector.remaining == 0);
-    // Move the result out while still holding the guard; the promise is
-    // fulfilled after release so no waiter ever wakes into our lock.
-    if (last) finished = std::move(collector.result);
-  }
-  if (last) collector.promise.set_value(std::move(finished));
-}
-
 void Server::Deliver(Request& request, const InferenceResult& result,
                      size_t row, uint64_t model_version,
-                     double plan_share_seconds, double exec_share_seconds,
                      std::chrono::steady_clock::time_point dequeued_at,
                      std::chrono::steady_clock::time_point now) {
   // Counted BEFORE the promise is fulfilled: a caller that just resolved
   // its future must see stats that already include that query. Release
   // pairs with the acquire load in Stats.
   completed_.fetch_add(1, std::memory_order_release);
-  const Status& status = result.statuses[row];
-  const size_t num_clusters = result.memberships.cols();
-  if (request.collector != nullptr) {
-    CompleteCollectorSlot(
-        *request.collector, request.slot, status,
-        status.ok() ? result.memberships.Row(row) : nullptr, num_clusters,
-        result.hard_labels[row], model_version,
-        request.num_links, request.num_observations, plan_share_seconds,
-        exec_share_seconds);
-  } else {
-    QueryResult answer;
-    answer.status = status;
-    if (status.ok()) {
-      answer.membership.assign(result.memberships.Row(row),
-                               result.memberships.Row(row) + num_clusters);
-    }
-    answer.hard_label = result.hard_labels[row];
-    answer.queue_seconds = SecondsBetween(request.enqueued_at, dequeued_at);
-    answer.total_seconds = SecondsBetween(request.enqueued_at, now);
-    answer.model_version = model_version;
-    request.promise.set_value(std::move(answer));
+  QueryResult answer;
+  answer.status = result.statuses[row];
+  if (answer.status.ok()) {
+    const double* membership = result.memberships.Row(row);
+    answer.membership.assign(membership,
+                             membership + result.memberships.cols());
   }
+  answer.hard_label = result.hard_labels[row];
+  answer.queue_seconds = SecondsBetween(request.enqueued_at, dequeued_at);
+  answer.total_seconds = SecondsBetween(request.enqueued_at, now);
+  answer.model_version = model_version;
+  request.promise.set_value(std::move(answer));
 }
 
 void Server::Shed(Request& request,
                   std::chrono::steady_clock::time_point dequeued_at) {
   // Before fulfillment; release pairs with the acquire load in Stats.
   deadline_shed_.fetch_add(1, std::memory_order_release);
-  Status status =
-      Status::DeadlineExceeded("deadline expired before execution");
-  if (request.collector != nullptr) {
-    CompleteCollectorSlot(*request.collector, request.slot,
-                          std::move(status), /*membership=*/nullptr,
-                          num_clusters_, kNoHardLabel, /*model_version=*/0,
-                          0, 0, 0.0, 0.0);
-  } else {
-    QueryResult answer;
-    answer.status = std::move(status);
-    answer.queue_seconds = SecondsBetween(request.enqueued_at, dequeued_at);
-    answer.total_seconds = answer.queue_seconds;
-    request.promise.set_value(std::move(answer));
-  }
+  QueryResult answer;
+  answer.status = Status::DeadlineExceeded("deadline expired before execution");
+  answer.queue_seconds = SecondsBetween(request.enqueued_at, dequeued_at);
+  answer.total_seconds = answer.queue_seconds;
+  request.promise.set_value(std::move(answer));
 }
 
 void Server::Fail(Request& request, Status status,
                   std::atomic<size_t>* counter) {
   // Before fulfillment; release pairs with the acquire load in Stats.
   counter->fetch_add(1, std::memory_order_release);
-  if (request.collector != nullptr) {
-    CompleteCollectorSlot(*request.collector, request.slot,
-                          std::move(status), /*membership=*/nullptr,
-                          num_clusters_, kNoHardLabel, /*model_version=*/0,
-                          0, 0, 0.0, 0.0);
-  } else {
-    QueryResult answer;
-    answer.status = std::move(status);
-    request.promise.set_value(std::move(answer));
-  }
+  QueryResult answer;
+  answer.status = std::move(status);
+  request.promise.set_value(std::move(answer));
 }
 
 // The admission loop body each worker runs: coalesce queued queries into
@@ -638,14 +490,8 @@ void Server::WorkerLoop() {
       }
       continue;
     }
-    // Per-query attribution of the shared plan/exec cost: equal shares,
-    // so whole-batch reassembly sums back to the micro-batch totals.
-    const double share = 1.0 / static_cast<double>(live.size());
-    const double plan_share = plan.plan_seconds * share;
-    const double exec_share = result.report.exec_seconds * share;
     for (size_t i = 0; i < live.size(); ++i) {
-      Deliver(live[i], result, i, batch_model_version, plan_share,
-              exec_share, dequeued_at, done_at);
+      Deliver(live[i], result, i, batch_model_version, dequeued_at, done_at);
     }
   }
 }

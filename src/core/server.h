@@ -16,20 +16,21 @@
 // how the admission loop happens to batch them — the contract
 // tests/core/server_test.cc pins under concurrency.
 //
-// Results are delivered per query through promises: Submit hands back a
+// A query goes in one way and comes out one way: Submit hands back a
 // std::future<QueryResult> that becomes ready when some worker finishes
-// the query's micro-batch. SubmitBatch enqueues a whole batch and returns
-// one future for the assembled InferenceResult. Stop() closes the queue
-// and — by default — drains it: every admitted request is executed before the
-// workers join, so pending futures always complete and nothing dangles
-// (the fix for the old Submit's use-after-free on Engine destruction).
+// the query's micro-batch. Callers holding a whole batch submit its
+// queries one by one (the admission loop re-coalesces them) or run it
+// synchronously through Engine::Execute. Stop() closes the queue and —
+// by default — drains it: every admitted request is executed before the
+// workers join, so pending futures always complete and nothing dangles,
+// even when the server is destroyed with futures still in flight.
 // With drain_on_stop = false, requests still queued at Stop() fail fast
 // with kCancelled instead of executing.
 //
 // Deadline-aware robustness (tests/core/server_deadline_test.cc):
 //
 //   * Every Request carries a Deadline (common/deadline.h) — set per
-//     query through the Submit/SubmitBatch overloads or defaulted from
+//     query through the Submit overload or defaulted from
 //     ServerOptions::default_timeout_us. Infinite by default: a
 //     deadline-free caller pays one is_infinite() branch and nothing else.
 //   * Submit rejects a request whose deadline has already expired with
@@ -73,9 +74,9 @@
 //     rebuild failure (exercised via the "server.swap_model" failpoint)
 //     fails only that batch with kInternal and keeps the worker's old
 //     session — the tier keeps serving.
-//   * QueryResult::model_version, InferenceResult::model_versions and
-//     ServerStats::{model_version, model_fingerprint, model_swaps} stamp
-//     exactly which model answered what.
+//   * QueryResult::model_version and ServerStats::{model_version,
+//     model_fingerprint, model_swaps} stamp exactly which model answered
+//     what.
 #pragma once
 
 #include <atomic>
@@ -107,9 +108,9 @@ struct ServerOptions {
   /// Request-queue bound: admissions beyond this many queued queries are
   /// rejected with kResourceExhausted (never queued unboundedly).
   size_t queue_capacity = 1024;
-  /// Largest micro-batch a worker coalesces per dequeue. 64 sits at the
-  /// knee of serve_bench's batch-size curve: most of the SpMM win of
-  /// batch 256 without its queueing delay.
+  /// Largest micro-batch a worker coalesces per dequeue, in [1, 65536].
+  /// 64 sits at the knee of serve_bench's batch-size curve: most of the
+  /// SpMM win of batch 256 without its queueing delay.
   size_t max_batch = 64;
   /// How long a worker lingers after the first dequeued query for more
   /// arrivals to coalesce. 0 = take only what is already queued. A
@@ -207,20 +208,15 @@ struct ServerStats {
 /// Micro-batching fold-in server over a (network, model) pair. Create it
 /// once, Submit from any number of threads, Stop (or destroy) to shut
 /// down. The network must outlive the server and must not grow
-/// (GrowDataset, hin/delta.h) while it exists; the model is either owned
-/// (Model / shared_ptr overloads) or borrowed (const Model* overload —
-/// must outlive the server and stay unmutated, the contract Engine relies
-/// on). SwapModel replaces the served model at runtime with zero dropped
-/// requests (see the header comment).
+/// (GrowDataset, hin/delta.h) while it exists; the server always owns
+/// (or shares ownership of) its model. SwapModel replaces the served
+/// model at runtime with zero dropped requests (see the header comment).
 class Server {
  public:
   /// Validates options and model-vs-network consistency, then starts the
   /// worker threads. The returned server is ready to Submit to.
   static Result<std::unique_ptr<Server>> Create(const Network* network,
                                                 Model model,
-                                                ServerOptions options = {});
-  static Result<std::unique_ptr<Server>> Create(const Network* network,
-                                                const Model* model,
                                                 ServerOptions options = {});
   static Result<std::unique_ptr<Server>> Create(
       const Network* network, std::shared_ptr<const Model> model,
@@ -242,18 +238,6 @@ class Server {
   Result<std::future<QueryResult>> Submit(NewObjectQuery query,
                                           Deadline deadline);
 
-  /// Admits a whole batch and returns one future for the assembled
-  /// InferenceResult: slot i holds query i's status/membership/hard
-  /// label, bitwise identical to Engine::InferBatch on the same queries.
-  /// Queries that do not fit the queue (or fail deadline admission) fail
-  /// their slot with kResourceExhausted / kDeadlineExceeded — the batch
-  /// future still completes. Never blocks. `deadline` applies to every
-  /// query of the batch.
-  std::future<InferenceResult> SubmitBatch(
-      std::vector<NewObjectQuery> queries);
-  std::future<InferenceResult> SubmitBatch(
-      std::vector<NewObjectQuery> queries, Deadline deadline);
-
   /// Closes the queue (further Submits are rejected) and joins the
   /// workers; pending requests drain or cancel per
   /// ServerOptions::drain_on_stop. Idempotent and thread-safe.
@@ -267,13 +251,13 @@ class Server {
 
   /// Replaces the served model. Validates the replacement with
   /// Model::ValidateForServing (it may cover more nodes than the network,
-  /// never fewer; K must equal the current model's — SubmitBatch
-  /// preallocates K-wide result rows at admission, before knowing which
-  /// model will answer). On success the new model is published
+  /// never fewer; K must equal the current model's, so clients read hard
+  /// labels in one cluster-id space across a swap). On success the new
+  /// model is published
   /// immediately: micro-batches already dequeued finish on the model they
   /// pinned, every batch dequeued afterwards plans against the new one.
   /// Never blocks request execution; callable from any thread, including
-  /// concurrently with Submit/SubmitBatch/Stats.
+  /// concurrently with Submit/Stats.
   Status SwapModel(std::shared_ptr<const Model> model)
       GENCLUS_EXCLUDES(model_mutex_);
   Status SwapModel(Model model) GENCLUS_EXCLUDES(model_mutex_);
@@ -286,10 +270,6 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
-  // A whole-batch submission being reassembled from its scattered
-  // per-query completions; the last completion fulfills the promise.
-  struct BatchCollector;
-
   // One published model snapshot: the model, the planner built against it
   // (Plan is const — one planner is shared by every worker on that
   // version), the monotonically increasing version and the content
@@ -297,15 +277,10 @@ class Server {
   // shared_ptr so in-flight batches outlive a swap safely.
   struct VersionedModel;
 
-  // One admitted query in flight: delivered either through its own
-  // promise (Submit) or into a collector slot (SubmitBatch).
+  // One admitted query in flight, answered through its own promise.
   struct Request {
     NewObjectQuery query;
     std::promise<QueryResult> promise;
-    std::shared_ptr<BatchCollector> collector;
-    size_t slot = 0;
-    size_t num_links = 0;
-    size_t num_observations = 0;
     Deadline deadline;
     std::chrono::steady_clock::time_point enqueued_at;
   };
@@ -327,7 +302,6 @@ class Server {
   void WorkerLoop();
   void Deliver(Request& request, const InferenceResult& result, size_t row,
                uint64_t model_version,
-               double plan_share_seconds, double exec_share_seconds,
                std::chrono::steady_clock::time_point dequeued_at,
                std::chrono::steady_clock::time_point now);
   // Fails one dequeued-but-expired request with kDeadlineExceeded.
@@ -337,18 +311,10 @@ class Server {
   // or kInternal after a caught execution exception), counting it in
   // `counter` before the promise is fulfilled.
   void Fail(Request& request, Status status, std::atomic<size_t>* counter);
-  static void CompleteCollectorSlot(BatchCollector& collector, size_t slot,
-                                    Status status, const double* membership,
-                                    size_t num_clusters, uint32_t hard_label,
-                                    uint64_t model_version,
-                                    size_t num_links, size_t num_observations,
-                                    double plan_share_seconds,
-                                    double exec_share_seconds);
 
   // options_, network_ and num_clusters_ are written only during
   // construction, before the worker threads start; they need no guard.
-  // (num_clusters_ is cached because rejection/shed paths need K without
-  // taking the model snapshot, and SwapModel pins it anyway.)
+  // (num_clusters_ is the creation model's K, which SwapModel pins.)
   ServerOptions options_;
   const Network* network_;
   size_t num_clusters_;
@@ -356,7 +322,7 @@ class Server {
   std::vector<std::thread> workers_;
 
   // The served model, behind a short mutex: writers (SwapModel) publish a
-  // new snapshot, readers (workers, Stats, SubmitBatch) copy the
+  // new snapshot, readers (workers, Stats, model()) copy the
   // shared_ptr and release. Never held across plan/execute.
   mutable Mutex model_mutex_;
   std::shared_ptr<const VersionedModel> current_model_

@@ -1,7 +1,8 @@
-// Engine serving surface: Create validation, Infer/InferBatch equivalence
-// with the per-object InferMembership path, determinism across thread
-// counts, per-query error isolation, and the full train → save → load →
-// serve round trip reproducing post-fit inference byte-for-byte.
+// Engine serving surface: Create validation, Plan/Execute/InferBatch
+// equivalence with the per-object InferMembership path, determinism
+// across thread counts, per-query error isolation, and the full train →
+// save → load → serve round trip reproducing post-fit inference
+// byte-for-byte.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
@@ -231,15 +232,16 @@ TEST_F(EngineFixture, SaveLoadServeReproducesPostFitInferenceExactly) {
   }
 }
 
-TEST_F(EngineFixture, SingleQueryInferMatchesBatch) {
+TEST_F(EngineFixture, SingleQueryPlanMatchesBatch) {
   auto engine = MakeEngine(1);
   ASSERT_TRUE(engine.ok());
   const auto queries = MixedBatch();
   const auto batch = engine->InferBatch(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto single = engine->Infer(queries[i]);
-    ASSERT_TRUE(single.ok() && batch[i].ok());
-    EXPECT_EQ(*single, *batch[i]);
+    const InferenceResult single =
+        engine->Execute(engine->Plan(std::span(&queries[i], 1)));
+    ASSERT_TRUE(single.ok(0) && batch[i].ok());
+    EXPECT_EQ(single.memberships.RowVector(0), *batch[i]);
   }
 }
 

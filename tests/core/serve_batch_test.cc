@@ -8,14 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <future>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/inference.h"
-#include "core/server.h"
 #include "datagen/weather_generator.h"
 #include "tests/core/test_fixtures.h"
 
@@ -295,31 +293,6 @@ TEST_F(ServeBatchFixture, ExecuteReportsBatchStatsAndBlocks) {
   EXPECT_EQ(result.report.total_observations, 0u);
   EXPECT_EQ(result.report.exec_blocks, 2u);
   EXPECT_GE(result.report.exec_seconds, 0.0);
-}
-
-TEST_F(ServeBatchFixture, ServerSubmitBatchMatchesSynchronousExecution) {
-  Engine engine = MakeEngine(2);
-  std::vector<NewObjectQuery> queries(3);
-  queries[0].links.push_back({fixture_->docs[0], fixture_->doc_doc, 1.0});
-  queries[1].observations.push_back(
-      NewObjectObservation::Categorical(0, 2, 2.0));
-  queries[2].links.push_back({fixture_->docs[0], 99, 1.0});  // invalid
-
-  ServerOptions server_options;
-  server_options.num_workers = 2;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_, server_options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  std::future<InferenceResult> future =
-      (*server)->SubmitBatch(queries);
-  const InferenceResult async_result = future.get();
-  const InferenceResult sync_result = engine.Execute(engine.Plan(queries));
-  ASSERT_EQ(async_result.size(), sync_result.size());
-  EXPECT_EQ(async_result.memberships.data(), sync_result.memberships.data());
-  for (size_t i = 0; i < sync_result.size(); ++i) {
-    EXPECT_EQ(async_result.statuses[i], sync_result.statuses[i]);
-    EXPECT_EQ(async_result.hard_labels[i], sync_result.hard_labels[i]);
-  }
 }
 
 TEST_F(ServeBatchFixture, ObservationFactoriesValidateKindAtPlanTime) {

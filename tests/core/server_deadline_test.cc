@@ -47,12 +47,11 @@ class ServerDeadlineTest : public ::testing::Test {
     options.config = testing::PlantedFixtureConfig(602);
     auto fit = Engine::Fit(fixture_->dataset, options);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-    model_ = new Model(std::move(fit).value().model);
+    model_ = std::make_shared<const Model>(std::move(fit).value().model);
   }
 
   static void TearDownTestSuite() {
-    delete model_;
-    model_ = nullptr;
+    model_.reset();
     delete fixture_;
     fixture_ = nullptr;
   }
@@ -76,11 +75,11 @@ class ServerDeadlineTest : public ::testing::Test {
   }
 
   static testing::TwoCommunityNetwork* fixture_;
-  static Model* model_;
+  static std::shared_ptr<const Model> model_;
 };
 
 testing::TwoCommunityNetwork* ServerDeadlineTest::fixture_ = nullptr;
-Model* ServerDeadlineTest::model_ = nullptr;
+std::shared_ptr<const Model> ServerDeadlineTest::model_;
 
 TEST_F(ServerDeadlineTest, ValidateRejectsBadRobustnessOptions) {
   ServerOptions options;
@@ -187,30 +186,6 @@ TEST_F(ServerDeadlineTest, TightDeadlineCapsTheBatchLinger) {
   EXPECT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_LT(elapsed, milliseconds(400));  // nowhere near the full linger
   EXPECT_EQ(server->Stats().deadline_shed, 0u);
-}
-
-TEST_F(ServerDeadlineTest, SubmitBatchAppliesOneDeadlineToEverySlot) {
-  auto server = MakeServer({});
-  std::vector<NewObjectQuery> queries;
-  for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
-  // Expired batch deadline: every slot fails at admission, the batch
-  // future still resolves.
-  const Deadline expired =
-      Deadline::At(Deadline::Clock::now() - milliseconds(1));
-  InferenceResult rejected =
-      server->SubmitBatch(queries, expired).get();
-  ASSERT_EQ(rejected.size(), queries.size());
-  for (size_t i = 0; i < rejected.size(); ++i) {
-    EXPECT_EQ(rejected.statuses[i].code(), StatusCode::kDeadlineExceeded);
-  }
-  EXPECT_EQ(server->Stats().deadline_rejected, queries.size());
-  // Generous batch deadline: all served.
-  InferenceResult served =
-      server->SubmitBatch(queries, Deadline::AfterMicros(5'000'000)).get();
-  ASSERT_EQ(served.size(), queries.size());
-  for (size_t i = 0; i < served.size(); ++i) {
-    EXPECT_TRUE(served.statuses[i].ok()) << served.statuses[i].ToString();
-  }
 }
 
 TEST_F(ServerDeadlineTest, ExecuteExceptionFailsBatchAndWorkerSurvives) {

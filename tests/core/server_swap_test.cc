@@ -6,7 +6,6 @@
 //     lose nothing — every future resolves, every successful answer's
 //     model_version maps it to exactly the model whose reference it
 //     matches bitwise (no dropped, no mis-attributed requests);
-//   * SubmitBatch stamps InferenceResult::model_versions per slot;
 //   * SwapModel validates the replacement (null, wrong K, fewer nodes
 //     than the network) and a rejected swap leaves serving untouched;
 //   * with failpoints compiled in, a worker exception during the
@@ -43,21 +42,19 @@ class ServerSwapTest : public ::testing::Test {
     options.config = testing::PlantedFixtureConfig(602);
     auto fit_a = Engine::Fit(fixture_->dataset, options);
     ASSERT_TRUE(fit_a.ok()) << fit_a.status().ToString();
-    model_a_ = new Model(std::move(fit_a).value().model);
+    model_a_ = std::make_shared<const Model>(std::move(fit_a).value().model);
     // A second, bitwise-distinct model over the same network: a different
     // seed lands in a different iterate of the same planted optimum.
     options.config = testing::PlantedFixtureConfig(603);
     options.config.seed = 604;
     auto fit_b = Engine::Fit(fixture_->dataset, options);
     ASSERT_TRUE(fit_b.ok()) << fit_b.status().ToString();
-    model_b_ = new Model(std::move(fit_b).value().model);
+    model_b_ = std::make_shared<const Model>(std::move(fit_b).value().model);
   }
 
   static void TearDownTestSuite() {
-    delete model_b_;
-    model_b_ = nullptr;
-    delete model_a_;
-    model_a_ = nullptr;
+    model_b_.reset();
+    model_a_.reset();
     delete fixture_;
     fixture_ = nullptr;
   }
@@ -101,13 +98,13 @@ class ServerSwapTest : public ::testing::Test {
   }
 
   static testing::TwoCommunityNetwork* fixture_;
-  static Model* model_a_;
-  static Model* model_b_;
+  static std::shared_ptr<const Model> model_a_;
+  static std::shared_ptr<const Model> model_b_;
 };
 
 testing::TwoCommunityNetwork* ServerSwapTest::fixture_ = nullptr;
-Model* ServerSwapTest::model_a_ = nullptr;
-Model* ServerSwapTest::model_b_ = nullptr;
+std::shared_ptr<const Model> ServerSwapTest::model_a_;
+std::shared_ptr<const Model> ServerSwapTest::model_b_;
 
 TEST_F(ServerSwapTest, AnswersAndStatsTrackTheSwap) {
   const QueryPool pool = MakeQueryPool(4);
@@ -144,22 +141,6 @@ TEST_F(ServerSwapTest, AnswersAndStatsTrackTheSwap) {
   EXPECT_EQ(stats.model_swaps, 1u);
 }
 
-TEST_F(ServerSwapTest, SubmitBatchStampsPerSlotVersions) {
-  const QueryPool pool = MakeQueryPool(6);
-  ServerOptions options;
-  options.num_workers = 1;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  InferenceResult result =
-      server.value()->SubmitBatch(pool.queries).get();
-  ASSERT_EQ(result.model_versions.size(), pool.queries.size());
-  for (size_t i = 0; i < pool.queries.size(); ++i) {
-    EXPECT_TRUE(result.statuses[i].ok());
-    EXPECT_EQ(result.model_versions[i], 1u) << "i=" << i;
-  }
-}
-
 TEST_F(ServerSwapTest, SwapValidatesReplacement) {
   ServerOptions options;
   options.num_workers = 1;
@@ -183,7 +164,8 @@ TEST_F(ServerSwapTest, SwapValidatesReplacement) {
   EXPECT_EQ(srv.SwapModel(std::move(shrunk)).code(),
             StatusCode::kInvalidArgument);
 
-  // Wrong K: SubmitBatch preallocates K-wide rows, so the server pins it.
+  // Wrong K: clients read hard labels in one cluster-id space across a
+  // swap, so the server pins K.
   FitOptions k3;
   k3.attributes = {"text"};
   k3.config = testing::PlantedFixtureConfig(605);

@@ -7,13 +7,14 @@
 //     immediately instead of blocking;
 //   * clean shutdown with a non-empty queue — draining by default,
 //     failing fast with kCancelled when drain_on_stop is off;
-//   * destroying a Server with pending SubmitBatch futures is safe (the
-//     old Engine::Submit std::async path dangled its captured ServeState
-//     — ASan/TSan cover this regression in CI);
+//   * destroying a Server with pending Submit futures is safe (the old
+//     Engine::Submit std::async path dangled its captured ServeState —
+//     ASan/TSan cover this regression in CI);
 //   * concurrent Engine::Execute calls (per-caller sessions, no global
 //     execution mutex) stay bitwise equal to the reference path;
 //   * ServerStats observability: counters, batch-size histogram, queue
-//     high-water, latency summaries.
+//     high-water, latency summaries;
+//   * option validation, including the max_batch ceiling.
 #include "core/server.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,12 +48,11 @@ class ServerTest : public ::testing::Test {
     options.config = testing::PlantedFixtureConfig(502);
     auto fit = Engine::Fit(fixture_->dataset, options);
     ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-    model_ = new Model(std::move(fit).value().model);
+    model_ = std::make_shared<const Model>(std::move(fit).value().model);
   }
 
   static void TearDownTestSuite() {
-    delete model_;
-    model_ = nullptr;
+    model_.reset();
     delete fixture_;
     fixture_ = nullptr;
   }
@@ -103,21 +105,33 @@ class ServerTest : public ::testing::Test {
   }
 
   static testing::TwoCommunityNetwork* fixture_;
-  static Model* model_;
+  static std::shared_ptr<const Model> model_;
 };
 
 testing::TwoCommunityNetwork* ServerTest::fixture_ = nullptr;
-Model* ServerTest::model_ = nullptr;
+std::shared_ptr<const Model> ServerTest::model_;
 
 TEST_F(ServerTest, CreateValidatesOptionsAndModel) {
-  ServerOptions bad;
-  bad.max_batch = 0;
-  auto server = Server::Create(&fixture_->dataset.network, model_, bad);
-  EXPECT_FALSE(server.ok());
-  EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+  // max_batch must lie in [1, 65536], the server's fixed ceiling. The
+  // batch-size histogram holds max_batch + 1 counters: SIZE_MAX would
+  // wrap that to an empty vector and a huge value would throw bad_alloc
+  // out of Create, so both must come back as a Status instead.
+  for (const size_t max_batch :
+       {size_t{0}, std::numeric_limits<size_t>::max(), size_t{65536} + 1}) {
+    ServerOptions bad;
+    bad.max_batch = max_batch;
+    EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument)
+        << "max_batch " << max_batch;
+    auto server = Server::Create(&fixture_->dataset.network, model_, bad);
+    EXPECT_FALSE(server.ok()) << "max_batch " << max_batch;
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+  }
+  ServerOptions at_ceiling;
+  at_ceiling.max_batch = 65536;
+  EXPECT_TRUE(at_ceiling.Validate().ok());
 
   auto null_model = Server::Create(&fixture_->dataset.network,
-                                   static_cast<const Model*>(nullptr), {});
+                                   std::shared_ptr<const Model>(), {});
   EXPECT_FALSE(null_model.ok());
 }
 
@@ -306,70 +320,33 @@ TEST_F(ServerTest, NonDrainingStopCancelsQueuedRequests) {
   EXPECT_EQ(server->Stats().cancelled, cancelled);
 }
 
-TEST_F(ServerTest, SubmitBatchAssemblesInferenceResultBitwise) {
-  ServerOptions options;
-  options.num_workers = 2;
-  options.max_batch = 2;  // force the batch to scatter across micro-batches
-  options.max_wait_us = 0;
-  auto server = MakeServer(options);
-  QueryPool pool = MakeQueryPool(7);
-
-  EngineOptions engine_options;
-  engine_options.num_threads = 1;
-  auto engine = Engine::Create(&fixture_->dataset.network, *model_,
-                               engine_options);
-  ASSERT_TRUE(engine.ok());
-  const InferenceResult expected =
-      engine->Execute(engine->Plan(pool.queries));
-
-  std::future<InferenceResult> future = server->SubmitBatch(pool.queries);
-  const InferenceResult actual = future.get();
-  ASSERT_EQ(actual.size(), expected.size());
-  EXPECT_EQ(actual.memberships.data(), expected.memberships.data());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual.statuses[i], expected.statuses[i]) << "query " << i;
-    EXPECT_EQ(actual.hard_labels[i], expected.hard_labels[i]);
-  }
-  EXPECT_EQ(actual.report.batch_size, pool.queries.size());
-  EXPECT_EQ(actual.report.valid_queries, expected.report.valid_queries);
-  EXPECT_EQ(actual.report.total_links, expected.report.total_links);
-  EXPECT_EQ(actual.report.total_observations,
-            expected.report.total_observations);
-
-  std::future<InferenceResult> empty = server->SubmitBatch({});
-  EXPECT_EQ(empty.get().size(), 0u);
-}
-
-TEST_F(ServerTest, ServerDestructionWithPendingSubmitBatchIsSafe) {
-  // Regression for the PR 5 Submit hazard: a pending std::async future
-  // captured the engine's heap ServeState, so destroying the owner with
-  // the future in flight was a use-after-free. SubmitBatch rides the
+TEST_F(ServerTest, ServerDestructionWithPendingSubmitFuturesIsSafe) {
+  // Regression for the old Engine::Submit hazard: a pending std::async
+  // future captured the engine's heap ServeState, so destroying the owner
+  // with the future in flight was a use-after-free. Submit rides the
   // draining queue: the server destructor completes every outstanding
-  // submission before tearing anything down, and the futures stay valid
+  // request before tearing anything down, and the futures stay valid
   // afterwards (their shared state is independent). ASan/TSan jobs in CI
   // watch this test.
   QueryPool pool = MakeQueryPool(6);
 
-  std::vector<std::future<InferenceResult>> pending;
+  std::vector<std::future<QueryResult>> pending;
   {
     ServerOptions options;
     options.num_workers = 2;
     auto server = MakeServer(options);
-    for (int i = 0; i < 8; ++i) {
-      pending.push_back(server->SubmitBatch(pool.queries));
+    for (int round = 0; round < 8; ++round) {
+      for (const NewObjectQuery& q : pool.queries) {
+        auto submitted = server->Submit(q);
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        pending.push_back(std::move(submitted).value());
+      }
     }
     // Server destroyed here, submissions very likely still queued.
   }
-  for (std::future<InferenceResult>& future : pending) {
-    const InferenceResult result = future.get();
-    ASSERT_EQ(result.size(), pool.queries.size());
-    for (size_t i = 0; i < pool.queries.size(); ++i) {
-      ASSERT_EQ(result.statuses[i], pool.reference[i].status());
-      if (!pool.reference[i].ok()) continue;
-      for (size_t k = 0; k < pool.reference[i].value().size(); ++k) {
-        EXPECT_EQ(result.memberships(i, k), pool.reference[i].value()[k]);
-      }
-    }
+  for (size_t i = 0; i < pending.size(); ++i) {
+    ExpectMatchesReference(pending[i].get(),
+                           pool.reference[i % pool.queries.size()]);
   }
 }
 

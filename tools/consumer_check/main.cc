@@ -1,6 +1,7 @@
 // One-file downstream consumer: trains a tiny model through Engine::Fit,
-// persists and reloads it, and serves fold-in queries through both the
-// legacy wrapper (Infer) and the batch-planned pipeline (Plan/Execute).
+// persists and reloads it, and serves a fold-in query through the
+// batch-planned pipeline (Plan/Execute), checked against the per-query
+// InferMembership reference.
 // Exercises the installed headers and every exported library layer end to
 // end.
 #include <cstdio>
@@ -59,10 +60,11 @@ int main() {
   if (!engine.ok()) return 1;
   NewObjectQuery query;
   query.links.push_back({0, cites, 1.0});
-  auto theta = engine->Infer(query);
+  auto theta = InferMembership(dataset.network, engine->model(), query.links,
+                               query.observations);
   if (!theta.ok() || theta->size() != 2) return 1;
 
-  // The batch-planned pipeline must agree with the wrapper exactly.
+  // The batch-planned pipeline must agree with the reference exactly.
   InferenceResult planned = engine->Execute(engine->Plan({&query, 1}));
   if (planned.size() != 1 || !planned.ok(0) ||
       planned.memberships.RowVector(0) != *theta) {
