@@ -67,9 +67,8 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
 
   new_theta_ = Matrix(num_nodes, num_clusters);
   block_delta_.assign(num_blocks, 0.0);
-  block_objective_.assign(num_blocks, 0.0);
   constexpr size_t kLineDoubles = kCacheLineBytes / sizeof(double);
-  const size_t per_block = (4 + 3 * attributes.size()) * num_clusters;
+  const size_t per_block = (3 + 3 * attributes.size()) * num_clusters;
   scratch_stride_ =
       (per_block + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
   scratch_.assign(num_blocks * scratch_stride_, 0.0);
@@ -200,10 +199,9 @@ void EmOptimizer::AccumulateLinkTerm(const std::vector<double>& gamma,
   }
 }
 
-double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
-                              std::vector<AttributeComponents>* components,
-                              EmWorkspace* ws, double* entry_objective,
-                              bool allow_block_skip) const {
+double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
+                         std::vector<AttributeComponents>* components,
+                         EmWorkspace* ws) const {
   GENCLUS_CHECK(theta != nullptr && components != nullptr && ws != nullptr);
   GENCLUS_CHECK_EQ(theta->rows(), network_->num_nodes());
   GENCLUS_CHECK_EQ(theta->cols(), config_->num_clusters);
@@ -213,9 +211,6 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
   const size_t n = network_->num_nodes();
   const size_t num_clusters = config_->num_clusters;
   const size_t num_blocks = NumBlocks();
-  const bool track = entry_objective != nullptr;
-  const bool need_logs = has_numerical_ || track;
-  const double log_theta_floor = std::log(kDefaultThetaFloor);
 
   ws->Prepare(n, num_clusters, attributes_, num_blocks);
   ws->PrepareSharding(*network_, config_->theta_shards);
@@ -228,16 +223,13 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     // reused workspace cannot leak stale statistics into the M-step.
     for (auto& a : ws->block_acc_[0]) ZeroAccumulator(&a);
     ws->block_delta_[0] = 0.0;
-    ws->block_objective_[0] = 0.0;
   }
 
   // Convergence-aware skip decisions, made serially before the sweep from
   // last sweep's deterministic per-block deltas: a block quiet for
-  // block_convergence_sweeps consecutive sweeps is carried forward. A
-  // traced sweep must evaluate every block, so skipping disengages while
-  // an objective rides along.
+  // block_convergence_sweeps consecutive sweeps is carried forward.
   const double block_tol = config_->block_convergence_tol;
-  const bool adaptive = allow_block_skip && block_tol > 0.0 && !track && n > 0;
+  const bool adaptive = block_tol > 0.0 && n > 0;
   if (adaptive) {
     // A gamma change (a new outer iteration) rescales every link term, so
     // cached quiet streaks no longer mean anything.
@@ -269,8 +261,7 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     std::vector<EmComponentAccumulator>& acc = ws->block_acc_[b];
     double* resp = ws->BlockScratch(b);
     double* log_e = resp + num_clusters;  // E-step clamp (1e-300)
-    double* log_s = log_e + num_clusters;  // structural clamp (theta floor)
-    double* base = log_s + num_clusters;  // log theta_vk + log_norm_k
+    double* base = log_e + num_clusters;  // log theta_vk + log_norm_k
     // Numerical moment sums, 3 * K per attribute, on the block's own lines.
     double* moments = base + num_clusters;
     std::fill(moments, moments + 3 * num_clusters * attributes_.size(), 0.0);
@@ -286,37 +277,19 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     AccumulateLinkTerm(gamma, theta_data, begin, end, ws, new_theta_data);
 
     double local_delta = 0.0;
-    double local_obj = 0.0;
     for (size_t vi = begin; vi < end; ++vi) {
       const NodeId v = static_cast<NodeId>(vi);
       const double* theta_v = theta_data + vi * num_clusters;
       double* out = new_theta_data + vi * num_clusters;
 
-      if (need_logs) {
+      if (has_numerical_) {
         for (size_t k = 0; k < num_clusters; ++k) {
           const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
           log_e[k] = std::log(tk);
-          if (track) {
-            log_s[k] = theta_v[k] < kDefaultThetaFloor ? log_theta_floor
-                                                       : log_e[k];
-          }
         }
-      }
-      if (track) {
-        // Feature part of g1 at the entry iterate, factored through the
-        // link mix: sum_e gamma w CE(theta_v, theta_u)
-        //         = sum_k log(clamped theta_vk) * [sum_e gamma w theta_uk],
-        // and `out` holds exactly that bracket before the attribute part
-        // lands on it.
-        double structural = 0.0;
-        for (size_t k = 0; k < num_clusters; ++k) {
-          structural += log_s[k] * out[k];
-        }
-        local_obj += structural;
       }
 
-      // Attribute part: responsibilities of v's own observations, with
-      // the per-observation likelihood riding along for the fused trace.
+      // Attribute part: responsibilities of v's own observations.
       for (size_t t = 0; t < attributes_.size(); ++t) {
         const Attribute& attr = *attributes_[t];
         if (attr.kind() == AttributeKind::kCategorical) {
@@ -329,10 +302,6 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
             for (size_t k = 0; k < num_clusters; ++k) {
               resp[k] = theta_v[k] * beta_term[k];
               total += resp[k];
-            }
-            if (track) {
-              local_obj +=
-                  tc.count * std::log(total > 0.0 ? total : 1e-300);
             }
             if (total <= 0.0) {
               // All clusters assign zero mass (possible with zero
@@ -385,7 +354,6 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
                   k == arg_max ? 1.0 : std::exp(resp[k] - max_log);
               total += resp[k];
             }
-            if (track) local_obj += max_log + std::log(total);
             const double inv_total = 1.0 / total;
             for (size_t k = 0; k < num_clusters; ++k) {
               const double r = resp[k] * inv_total;
@@ -413,7 +381,6 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
                 acc[t].square_sum.begin());
     }
     ws->block_delta_[b] = local_delta;
-    ws->block_objective_[b] = local_obj;
   });
 
   // Deterministic reduction: fold block partials in block order, so the
@@ -422,11 +389,6 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
   double delta = 0.0;
   for (size_t b = 0; b < num_blocks; ++b) {
     delta = std::max(delta, ws->block_delta_[b]);
-  }
-  if (track) {
-    double obj = 0.0;
-    for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
-    *entry_objective = obj;
   }
   MergeBlockStatistics(ws);
   UpdateComponents(ws->merged_acc_, components);
@@ -504,106 +466,6 @@ void EmOptimizer::BuildBlockDependents(EmWorkspace* ws) const {
     }
   }
   ws->dependents_ready_ = true;
-}
-
-double EmOptimizer::FusedObjective(
-    const std::vector<double>& gamma, const Matrix& theta,
-    const std::vector<AttributeComponents>& components,
-    EmWorkspace* ws) const {
-  // This sweep deliberately mirrors the `track` arithmetic of FusedStep
-  // (same SpMM link mix, log hoists, arg-max exp skip) minus the state
-  // updates — keep the two in sync. The FusedTraceMatchesG1Objective test
-  // pins both against objective.h's independent G1Objective, so drift in
-  // either copy fails the suite.
-  GENCLUS_CHECK(ws != nullptr);
-  GENCLUS_CHECK_EQ(theta.rows(), network_->num_nodes());
-  GENCLUS_CHECK_EQ(theta.cols(), config_->num_clusters);
-  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
-  GENCLUS_CHECK_EQ(components.size(), attributes_.size());
-
-  const size_t num_clusters = config_->num_clusters;
-  const size_t num_blocks = NumBlocks();
-  const double log_theta_floor = std::log(kDefaultThetaFloor);
-
-  const size_t n = network_->num_nodes();
-  ws->Prepare(n, num_clusters, attributes_, num_blocks);
-  ws->PrepareSharding(*network_, config_->theta_shards);
-  RebuildDerivedTables(components, ws);
-  const double* theta_data = theta.data().data();
-  double* mix_data = ws->new_theta_.data().data();  // scratch rows only
-  if (n == 0) ws->block_objective_[0] = 0.0;
-
-  ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
-                                                      size_t end) {
-    double* resp = ws->BlockScratch(b);
-    double* log_e = resp + num_clusters;
-    double* log_s = log_e + num_clusters;
-    double* base = log_s + num_clusters;
-
-    std::fill(mix_data + begin * num_clusters, mix_data + end * num_clusters,
-              0.0);
-    AccumulateLinkTerm(gamma, theta_data, begin, end, ws, mix_data);
-
-    double local_obj = 0.0;
-    for (size_t vi = begin; vi < end; ++vi) {
-      const NodeId v = static_cast<NodeId>(vi);
-      const double* theta_v = theta_data + vi * num_clusters;
-      const double* mix = mix_data + vi * num_clusters;
-      for (size_t k = 0; k < num_clusters; ++k) {
-        const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
-        log_e[k] = std::log(tk);
-        log_s[k] = theta_v[k] < kDefaultThetaFloor ? log_theta_floor
-                                                   : log_e[k];
-        local_obj += log_s[k] * mix[k];
-      }
-      for (size_t t = 0; t < attributes_.size(); ++t) {
-        const Attribute& attr = *attributes_[t];
-        if (attr.kind() == AttributeKind::kCategorical) {
-          const Matrix& beta_t = ws->beta_transpose_[t];
-          for (const TermCount& tc : attr.TermCounts(v)) {
-            const double* beta_term = beta_t.Row(tc.term);
-            double total = 0.0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              total += theta_v[k] * beta_term[k];
-            }
-            local_obj += tc.count * std::log(total > 0.0 ? total : 1e-300);
-          }
-        } else {
-          const std::vector<double>& values = attr.Values(v);
-          if (values.empty()) continue;
-          const GaussianEvalTable& table = ws->gaussians_[t];
-          const double* mean = table.means().data();
-          const double* neg_half_inv_var = table.neg_half_inv_vars().data();
-          const double* log_norm = table.log_norms().data();
-          for (size_t k = 0; k < num_clusters; ++k) {
-            base[k] = log_e[k] + log_norm[k];
-          }
-          for (double x : values) {
-            double max_log = kNegInf;
-            size_t arg_max = 0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              const double d = x - mean[k];
-              resp[k] = base[k] + neg_half_inv_var[k] * d * d;
-              if (resp[k] > max_log) {
-                max_log = resp[k];
-                arg_max = k;
-              }
-            }
-            double total = 0.0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              total += k == arg_max ? 1.0 : std::exp(resp[k] - max_log);
-            }
-            local_obj += max_log + std::log(total);
-          }
-        }
-      }
-    }
-    ws->block_objective_[b] = local_obj;
-  });
-
-  double obj = 0.0;
-  for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
-  return obj;
 }
 
 void EmOptimizer::ProcessNodes(
@@ -734,13 +596,7 @@ void EmOptimizer::UpdateComponents(
 double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
                          std::vector<AttributeComponents>* components) const {
   EmWorkspace workspace;
-  return FusedStep(gamma, theta, components, &workspace, nullptr);
-}
-
-double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
-                         std::vector<AttributeComponents>* components,
-                         EmWorkspace* workspace) const {
-  return FusedStep(gamma, theta, components, workspace, nullptr);
+  return Step(gamma, theta, components, &workspace);
 }
 
 double EmOptimizer::ReferenceStep(
@@ -773,34 +629,20 @@ double EmOptimizer::ReferenceStep(
 }
 
 EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
-                         std::vector<AttributeComponents>* components,
-                         bool track_objective) const {
+                         std::vector<AttributeComponents>* components) const {
   EmWorkspace workspace;
-  return Run(gamma, theta, components, &workspace, track_objective);
+  return Run(gamma, theta, components, &workspace);
 }
 
 EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
                          std::vector<AttributeComponents>* components,
-                         EmWorkspace* workspace, bool track_objective) const {
+                         EmWorkspace* workspace) const {
   GENCLUS_CHECK(workspace != nullptr);
   EmStats stats;
   stats.blocks = NumBlocks();
-  // A traced run evaluates every block every sweep (the fused trace must
-  // be exact), so convergence-aware skipping engages only untraced.
-  const bool adaptive =
-      !track_objective && config_->block_convergence_tol > 0.0;
+  const bool adaptive = config_->block_convergence_tol > 0.0;
   for (size_t iter = 0; iter < config_->em_iterations; ++iter) {
-    // The sweep of iteration t evaluates g1 at its entry iterate for free,
-    // which is exactly the post-iteration value of iteration t-1 (useless
-    // on the first sweep); only the final iterate needs a dedicated
-    // objective pass below.
-    double entry_objective = 0.0;
-    const bool want_entry = track_objective && iter > 0;
-    const double delta =
-        FusedStep(gamma, theta, components, workspace,
-                  want_entry ? &entry_objective : nullptr,
-                  /*allow_block_skip=*/!track_objective);
-    if (want_entry) stats.objective_trace.push_back(entry_objective);
+    const double delta = Step(gamma, theta, components, workspace);
     if (adaptive) {
       stats.skipped_per_sweep.push_back(workspace->last_sweep_skipped_);
     }
@@ -814,10 +656,6 @@ EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
   if (stats.iterations > 0) {
     stats.final_block_deltas.assign(workspace->block_delta_.begin(),
                                     workspace->block_delta_.end());
-  }
-  if (track_objective && stats.iterations > 0) {
-    stats.objective_trace.push_back(
-        FusedObjective(gamma, *theta, *components, workspace));
   }
   return stats;
 }

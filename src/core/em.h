@@ -49,11 +49,6 @@ namespace genclus {
 struct EmStats {
   size_t iterations = 0;
   bool converged = false;
-  /// g1 objective after each EM iteration, filled only when
-  /// track_objective. Entries up to the second-to-last are computed for
-  /// free inside the next iteration's fused sweep; only the last iterate
-  /// pays a dedicated (blocked, parallel) objective pass.
-  std::vector<double> objective_trace;
   /// Max |Theta_t - Theta_{t-1}| at the last iteration.
   double final_delta = 0.0;
   /// Reduction blocks the node range was cut into — the denominator of
@@ -81,8 +76,7 @@ struct EmComponentAccumulator {
 /// per-block component accumulators and reduction partials, per-block
 /// responsibility/log-theta scratch, the term-major beta transposes and
 /// the Gaussian constant tables. Allocated on first use and reused across
-/// Steps (and across Runs, if the caller keeps it); the pre-kernel code
-/// reallocated all of this on every Step.
+/// Steps (and across Runs, if the caller keeps it).
 class EmWorkspace {
  public:
   EmWorkspace() = default;
@@ -111,15 +105,13 @@ class EmWorkspace {
   // block_acc_[block][attribute]
   std::vector<std::vector<EmComponentAccumulator>> block_acc_;
   std::vector<double> block_delta_;
-  std::vector<double> block_objective_;
   // Block b's scratch: scratch_stride_ doubles (whole cache lines) from
   // the line-aligned start of scratch_, so blocks running side by side
-  // never share a line. Holds
-  // 4 * K doubles (responsibilities, log theta_v clamped for the E-step,
-  // log theta_v clamped for the structural score, and the hoisted
-  // log theta_vk + log_norm_k base of the Gaussian E-step), then 3 * K
-  // numerical moment sums (weight, value, square) per attribute, which the
-  // block stores into its accumulator once, at block end.
+  // never share a line. Holds 3 * K doubles (responsibilities, log theta_v
+  // clamped for the E-step, and the hoisted log theta_vk + log_norm_k base
+  // of the Gaussian E-step), then 3 * K numerical moment sums (weight,
+  // value, square) per attribute, which the block stores into its
+  // accumulator once, at block end.
   double* BlockScratch(size_t block) {
     return scratch_.data() + block * scratch_stride_;
   }
@@ -172,16 +164,18 @@ class EmOptimizer {
   /// (num_nodes x K, rows on the simplex) and `components` in place. The
   /// overload without a workspace allocates one for the whole run; pass a
   /// workspace to reuse scratch across runs (e.g. outer iterations).
+  /// Callers that watch g1 between iterations step with Step and score
+  /// each iterate with objective.h's G1Objective.
+  EmStats Run(const std::vector<double>& gamma, Matrix* theta,
+              std::vector<AttributeComponents>* components) const;
   EmStats Run(const std::vector<double>& gamma, Matrix* theta,
               std::vector<AttributeComponents>* components,
-              bool track_objective = false) const;
-  EmStats Run(const std::vector<double>& gamma, Matrix* theta,
-              std::vector<AttributeComponents>* components,
-              EmWorkspace* workspace, bool track_objective = false) const;
+              EmWorkspace* workspace) const;
 
-  /// One EM iteration; returns max |Theta_new - Theta_old|. The overload
-  /// without a workspace allocates a fresh one per call — prefer passing
-  /// a workspace when stepping in a loop.
+  /// One EM iteration; returns max |Theta_new - Theta_old|. Skips the
+  /// blocks GenClusConfig::block_convergence_tol marks as converged. The
+  /// overload without a workspace allocates a fresh one per call — prefer
+  /// passing a workspace when stepping in a loop.
   double Step(const std::vector<double>& gamma, Matrix* theta,
               std::vector<AttributeComponents>* components) const;
   double Step(const std::vector<double>& gamma, Matrix* theta,
@@ -194,14 +188,6 @@ class EmOptimizer {
   double ReferenceStep(const std::vector<double>& gamma, Matrix* theta,
                        std::vector<AttributeComponents>* components) const;
 
-  /// g1 objective (feature part + attribute log-likelihood) at the given
-  /// iterate, computed with the same blocked sweep and hoisted constants
-  /// as Step — equal to objective.h's G1Objective up to floating-point
-  /// reassociation, and bitwise invariant to the thread count.
-  double FusedObjective(const std::vector<double>& gamma, const Matrix& theta,
-                        const std::vector<AttributeComponents>& components,
-                        EmWorkspace* workspace) const;
-
   /// Re-estimates components from scratch treating `theta` rows as
   /// observation responsibilities (used for initialization).
   void EstimateComponents(const Matrix& theta,
@@ -212,23 +198,12 @@ class EmOptimizer {
   ThreadPool* pool() const { return pool_; }
 
  private:
-  // Kernel-path sweep: one EM iteration reusing `workspace`. When
-  // `entry_objective` is non-null, also computes g1 at the *input* iterate
-  // (theta, components) fused into the same traversal. Convergence-aware
-  // block skipping engages only when `allow_block_skip`, the config
-  // tolerance is non-zero and no objective is being traced (a traced run
-  // must evaluate every block exactly).
-  double FusedStep(const std::vector<double>& gamma, Matrix* theta,
-                   std::vector<AttributeComponents>* components,
-                   EmWorkspace* workspace, double* entry_objective,
-                   bool allow_block_skip = true) const;
-
   // Builds workspace->block_dependents_: for each target block m, the
   // ascending list of blocks holding at least one out-link into m. Pure
   // function of the network and kEmBlockGrain.
   void BuildBlockDependents(EmWorkspace* workspace) const;
 
-  // Link part of the fused sweeps: out rows [begin, end) +=
+  // Link part of the sweep: out rows [begin, end) +=
   // sum_r gamma_r (W_r Theta), each relation computed per column shard in
   // ascending shard order — bitwise identical to the unsharded product
   // for every shard count (see linalg/sharding.h).

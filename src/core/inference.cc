@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 
 namespace genclus {
 
@@ -148,7 +147,6 @@ BatchPlanner::BatchPlanner(const Network* network, const Model* model)
           ShardPartition::Resolve(model->theta_shards, model->num_nodes())) {}
 
 InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
-  WallTimer timer;
   InferPlan plan;
   plan.theta_partition = theta_partition_;
   std::vector<std::pair<uint32_t, double>> row_links;  // sort scratch
@@ -220,13 +218,10 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
           AttributeKind::kCategorical);
     }
     plan.observation_offsets.push_back(plan.observations.size());
-    plan.total_links += query.links.size();
-    plan.total_observations += query.observations.size();
   }
   if (theta_partition_.num_shards() > 1) {
     plan.shard_split.Build(plan.links(), theta_partition_);
   }
-  plan.plan_seconds = timer.Seconds();
   return plan;
 }
 
@@ -271,7 +266,6 @@ InferSession::InferSession(const Model* model, ThreadPool* pool)
     : model_(model), pool_(pool) {}
 
 InferenceResult InferSession::Execute(const InferPlan& plan) {
-  WallTimer timer;
   const size_t num_queries = plan.num_queries();
   const size_t num_rows = plan.num_rows();
   const size_t num_clusters = model_->num_clusters();
@@ -296,14 +290,6 @@ InferenceResult InferSession::Execute(const InferPlan& plan) {
                              ExecuteBlock(plan, block, begin, end, &out);
                            });
   }
-
-  out.report.batch_size = num_queries;
-  out.report.valid_queries = num_rows;
-  out.report.total_links = plan.total_links;
-  out.report.total_observations = plan.total_observations;
-  out.report.exec_blocks = num_blocks;
-  out.report.plan_seconds = plan.plan_seconds;
-  out.report.exec_seconds = timer.Seconds();
   return out;
 }
 

@@ -161,11 +161,6 @@ struct InferPlan {
   std::vector<NewObjectObservation> observations;
   std::vector<uint8_t> observation_categorical;
   std::vector<size_t> observation_offsets;  // num_rows() + 1
-  /// Batch stats over the valid queries.
-  size_t total_links = 0;
-  size_t total_observations = 0;
-  /// Wall-clock seconds spent planning (validation + CSR assembly).
-  double plan_seconds = 0.0;
 
   size_t num_queries() const { return statuses.size(); }
   size_t num_rows() const { return row_to_query.size(); }
@@ -174,20 +169,10 @@ struct InferPlan {
   }
 };
 
-/// Plan/exec timings and batch stats of one executed batch.
-struct ServeReport {
-  size_t batch_size = 0;
-  size_t valid_queries = 0;
-  size_t total_links = 0;
-  size_t total_observations = 0;
-  /// Fixed-grain execution blocks the batch was cut into.
-  size_t exec_blocks = 0;
-  double plan_seconds = 0.0;
-  double exec_seconds = 0.0;
-};
-
 /// Typed result of executing an InferPlan: per-query status, membership
-/// and hard label (slot i for input query i), plus the batch report.
+/// and hard label (slot i for input query i). Neither planning nor
+/// execution times itself: the Server times both phases into
+/// ServerStats::{plan, exec}, and direct callers time their own calls.
 /// Memberships are one dense batch x K matrix — a single allocation per
 /// batch instead of one vector per query, and the natural shape for
 /// callers that post-process whole batches. Failed queries keep a zero
@@ -196,7 +181,6 @@ struct InferenceResult {
   std::vector<Status> statuses;
   Matrix memberships;
   std::vector<uint32_t> hard_labels;
-  ServeReport report;
 
   size_t size() const { return statuses.size(); }
   bool ok(size_t i) const { return statuses[i].ok(); }

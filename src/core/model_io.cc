@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
@@ -44,6 +45,14 @@ uint64_t Fnv1a64(const uint8_t* data, size_t size) {
     hash *= 1099511628211ull;
   }
   return hash;
+}
+
+// True when `rows` text records of `fields` numeric fields each could be
+// read from a file of `file_bytes`: every field takes at least two bytes
+// (one character and a separator). Dividing instead of multiplying keeps
+// the test overflow-free for any declared count.
+bool TextFieldsFit(size_t rows, size_t fields, size_t file_bytes) {
+  return fields == 0 || rows <= file_bytes / 2 / fields;
 }
 
 size_t RoundUpTo(size_t value, size_t alignment) {
@@ -246,6 +255,16 @@ Status SaveModel(const Model& model, const std::string& path) {
 }
 
 Result<Model> LoadModel(const std::string& path) {
+  // Header counts size the buffers below before their rows are read; a
+  // count whose rows could not fit in the file is rejected first, so a
+  // lying header cannot trigger a huge allocation.
+  std::error_code size_error;
+  const uintmax_t file_size = std::filesystem::file_size(path, size_error);
+  if (size_error) {
+    return Status::IoError(StrFormat("cannot open '%s'", path.c_str()));
+  }
+  const size_t file_bytes = static_cast<size_t>(file_size);
+
   // Parse state. Header records (version, clusters, nodes) must precede
   // the bulk sections so matrices can be sized up front.
   bool version_seen = false;
@@ -330,6 +349,9 @@ Result<Model> LoadModel(const std::string& path) {
             return bad("theta before clusters/nodes header");
           }
           if (model.theta.empty() && num_nodes > 0) {
+            if (!TextFieldsFit(num_nodes, num_clusters, file_bytes)) {
+              return bad("theta extent exceeds the file");
+            }
             model.theta = Matrix(num_nodes, num_clusters);
             theta_seen.assign(num_nodes, false);
           }
@@ -351,22 +373,30 @@ Result<Model> LoadModel(const std::string& path) {
           if (tok.size() < 3) return bad("attribute needs kind and name");
           PendingAttr pa;
           pa.info.name = tok[2];
-          pa.rows_seen.assign(num_clusters, false);
           if (tok[1] == "categorical") {
             if (tok.size() != 4 ||
                 !ParseSizeT(tok[3], &pa.info.vocab_size) ||
                 pa.info.vocab_size == 0) {
               return bad("categorical attribute needs a vocabulary size");
             }
+            if (!TextFieldsFit(num_clusters, pa.info.vocab_size,
+                               file_bytes)) {
+              return bad("categorical attribute extent exceeds the file");
+            }
             pa.info.kind = AttributeKind::kCategorical;
             pa.beta = Matrix(num_clusters, pa.info.vocab_size);
           } else if (tok[1] == "numerical") {
             if (tok.size() != 3) return bad("numerical attribute: extra fields");
+            // One gaussian row (mean, variance) per cluster.
+            if (!TextFieldsFit(num_clusters, 2, file_bytes)) {
+              return bad("numerical attribute extent exceeds the file");
+            }
             pa.info.kind = AttributeKind::kNumerical;
             pa.gaussians.assign(num_clusters, {0.0, 0.0});
           } else {
             return bad("unknown attribute kind");
           }
+          pa.rows_seen.assign(num_clusters, false);
           attrs.push_back(std::move(pa));
         } else if (cmd == "beta") {
           if (attrs.empty() ||
@@ -675,6 +705,10 @@ Result<Model> LoadModelBinary(const std::string& path) {
     } else if (kind == 1) {
       info.kind = AttributeKind::kNumerical;
       if (vocab != 0) return bad("numerical attribute declares a vocabulary");
+      // Each cluster's row is a (mean, variance) pair of doubles.
+      if (num_clusters > reader.remaining() / (2 * sizeof(double))) {
+        return bad("numerical attribute extent exceeds the file");
+      }
       std::vector<GaussianDistribution> gaussians;
       gaussians.reserve(num_clusters);
       for (size_t k = 0; k < num_clusters; ++k) {

@@ -414,6 +414,11 @@ void Server::WorkerLoop() {
     InferenceResult result;
     Status exec_error;
     uint64_t batch_model_version = 0;
+    // The server's own span of each phase: [plan_at, planned_at) plans,
+    // [planned_at, done_at) executes. The session rebuild above the plan
+    // span counts toward neither.
+    std::chrono::steady_clock::time_point plan_at;
+    std::chrono::steady_clock::time_point planned_at;
     if (!live.empty()) {
       // Pin the model snapshot this whole batch runs on; a concurrent
       // SwapModel affects only later dequeues. Rebuild the session when
@@ -445,7 +450,9 @@ void Server::WorkerLoop() {
         for (Request& request : live) {
           queries.push_back(std::move(request.query));
         }
+        plan_at = std::chrono::steady_clock::now();
         plan = pinned->planner.Plan(queries);
+        planned_at = std::chrono::steady_clock::now();
         try {
           // Error-injection site: proves a throwing Execute fails its
           // batch with kInternal while the worker keeps serving.
@@ -474,9 +481,10 @@ void Server::WorkerLoop() {
       }
       if (executed) {
         batch_size_histogram_[live.size()] += 1;
-        plan_us_.Add(plan.plan_seconds * 1e6);
-        exec_us_.Add(result.report.exec_seconds * 1e6);
-        FoldEwma(&exec_ewma_bits_, result.report.exec_seconds * 1e6);
+        const double exec_us = SecondsBetween(planned_at, done_at) * 1e6;
+        plan_us_.Add(SecondsBetween(plan_at, planned_at) * 1e6);
+        exec_us_.Add(exec_us);
+        FoldEwma(&exec_ewma_bits_, exec_us);
         for (const Request& request : live) {
           end_to_end_us_.Add(
               SecondsBetween(request.enqueued_at, done_at) * 1e6);
@@ -519,12 +527,10 @@ ServerStats Server::Stats() const {
     out.model_fingerprint = current->fingerprint;
   }
   out.model_swaps = swaps_.load(std::memory_order_relaxed);
-  // Hold stats_mutex_ only for the copies. The old code ran the
-  // nth_element percentile extraction (4 rings x up to 8192 samples)
-  // inside this critical section, stalling every worker's per-batch
-  // stats recording while a monitor polled Stats(); annotating the guard
-  // made the oversized section obvious. Summarize now runs on the
-  // snapshots after release.
+  // Hold stats_mutex_ only for the copies: Summarize's percentile
+  // extraction (4 rings x up to 8192 samples) runs on the snapshots after
+  // release, so a monitor polling Stats() never stalls a worker's
+  // per-batch stats recording.
   std::vector<double> queue_wait_snapshot;
   std::vector<double> plan_snapshot;
   std::vector<double> exec_snapshot;

@@ -198,7 +198,8 @@ struct ServerStats {
   /// queries (index 0 unused; size max_batch + 1).
   std::vector<size_t> batch_size_histogram;
   /// Latency percentiles over the most recent samples: time spent queued,
-  /// per-micro-batch plan and execute phases, and admission-to-delivery.
+  /// per-micro-batch plan and execute phases (timed by the worker around
+  /// its own Plan and Execute calls), and admission-to-delivery.
   LatencySummary queue_wait;
   LatencySummary plan;
   LatencySummary exec;

@@ -179,6 +179,14 @@ TEST(ModelIoTest, LoadFailsCleanlyOnCorruptNumericFields) {
       "theta 0 nan nan\n",
       "genclus_model 1\nclusters 2\nnodes 1\nobjective 0\n"
       "theta 0 inf 0.5\n",
+      // Counts whose buffers could never be filled from a file this small
+      // (2^62 clusters, nodes or terms) are rejected before sizing.
+      "genclus_model 1\nclusters 4611686018427387904\nnodes 0\n"
+      "objective 0\nattribute numerical x\n",
+      "genclus_model 1\nclusters 2\nnodes 4611686018427387904\n"
+      "objective 0\ntheta 0 0.5 0.5\n",
+      "genclus_model 1\nclusters 2\nnodes 0\nobjective 0\n"
+      "attribute categorical t 4611686018427387904\n",
   };
   for (const char* contents : kCorruptFiles) {
     ScopedFile file(TempPath("genclus_model_corrupt.model"));
@@ -318,6 +326,50 @@ TEST(ModelIoBinaryTest, LoadFailsCleanlyOnCorruptPayload) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos);
+}
+
+TEST(ModelIoBinaryTest, LoadRejectsGaussianCountBeyondThePayload) {
+  // A well-formed container (valid checksum) whose header declares 2^62
+  // clusters, no nodes and one numerical attribute: the Gaussian rows
+  // cannot fit in the payload, so the load must fail before sizing them.
+  std::string payload;
+  auto append = [&payload](const auto& value) {
+    payload.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(0.0);              // objective
+  append(uint64_t{0});      // link types
+  append(uint64_t{1});      // attributes
+  append(uint8_t{1});       // kind: numerical
+  append(uint32_t{1});      // name length
+  payload.push_back('x');   // name
+  append(uint64_t{0});      // vocabulary (none for numerical)
+  uint64_t checksum = 14695981039346656037ull;  // FNV-1a 64
+  for (unsigned char byte : payload) {
+    checksum ^= byte;
+    checksum *= 1099511628211ull;
+  }
+  std::string bytes = "GENCLUSB";
+  auto append_header = [&bytes](const auto& value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_header(uint32_t{1});                        // version
+  append_header(uint32_t{0});                        // flags
+  append_header(static_cast<uint64_t>(payload.size()));
+  append_header(checksum);
+  append_header(uint64_t{0});                        // nodes
+  append_header(uint64_t{1} << 62);                  // clusters
+  append_header(uint64_t{1});                        // theta shards
+  bytes.resize(64, '\0');
+  bytes += payload;
+
+  ScopedFile file(TempPath("genclus_model_huge_k.bin"));
+  WriteFileBytes(file.path(), bytes);
+  auto loaded = LoadModelBinary(file.path());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("exceeds the file"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(ModelIoBinaryTest, LoadRejectsBadMagicAndVersionAndTextFile) {

@@ -73,8 +73,6 @@ TEST_F(ServeBatchFixture, EmptyBatch) {
   EXPECT_EQ(plan.num_rows(), 0u);
   const InferenceResult result = engine.Execute(plan);
   EXPECT_EQ(result.size(), 0u);
-  EXPECT_EQ(result.report.batch_size, 0u);
-  EXPECT_EQ(result.report.exec_blocks, 0u);
   EXPECT_TRUE(engine.InferBatch({}).empty());
 }
 
@@ -104,7 +102,6 @@ TEST_F(ServeBatchFixture, AllInvalidBatchExecutesToStatusesOnly) {
                         queries[i].links, queries[i].observations);
     EXPECT_EQ(result.statuses[i], reference.status()) << "query " << i;
   }
-  EXPECT_EQ(result.report.valid_queries, 0u);
 }
 
 TEST_F(ServeBatchFixture, DuplicateLinksToSameTargetSumTheirWeights) {
@@ -217,8 +214,6 @@ TEST_F(ServeBatchFixture, PlanMapsRowsPastInvalidQueriesAndFoldsGamma) {
   EXPECT_EQ(plan.link_values[1], gamma[fixture_->doc_tag] * 1.0);
   EXPECT_EQ(plan.link_values[2], gamma[fixture_->doc_doc] * 3.0);
   EXPECT_EQ(plan.observation_offsets, (std::vector<size_t>{0, 0, 1, 1}));
-  EXPECT_EQ(plan.total_links, 3u);
-  EXPECT_EQ(plan.total_observations, 1u);
 }
 
 TEST_F(ServeBatchFixture, PlanStableSortsEachRowByTargetColumn) {
@@ -280,19 +275,25 @@ TEST_F(ServeBatchFixture, ExecutionIsBitwiseInvariantToThetaShardCount) {
   }
 }
 
-TEST_F(ServeBatchFixture, ExecuteReportsBatchStatsAndBlocks) {
+TEST_F(ServeBatchFixture, TwoBlockBatchMatchesInferMembershipBitwise) {
+  // One block plus three queries: the second block is a partial one.
   Engine engine = MakeEngine(2);
   std::vector<NewObjectQuery> queries(ServeDefaults::kBatchBlockGrain + 3);
-  for (auto& q : queries) {
-    q.links.push_back({fixture_->docs[0], fixture_->doc_doc, 1.0});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].links.push_back({fixture_->docs[i % fixture_->docs.size()],
+                                fixture_->doc_doc, 1.0});
+    if (i % 2 == 1) {
+      queries[i].observations.push_back(NewObjectObservation::Categorical(
+          0, static_cast<uint32_t>(i % 4)));
+    }
   }
   const InferenceResult result = engine.Execute(engine.Plan(queries));
-  EXPECT_EQ(result.report.batch_size, queries.size());
-  EXPECT_EQ(result.report.valid_queries, queries.size());
-  EXPECT_EQ(result.report.total_links, queries.size());
-  EXPECT_EQ(result.report.total_observations, 0u);
-  EXPECT_EQ(result.report.exec_blocks, 2u);
-  EXPECT_GE(result.report.exec_seconds, 0.0);
+  ASSERT_EQ(result.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(result.ok(i)) << "query " << i;
+    EXPECT_EQ(result.memberships.RowVector(i), Reference(queries[i]))
+        << "query " << i;
+  }
 }
 
 TEST_F(ServeBatchFixture, ObservationFactoriesValidateKindAtPlanTime) {
